@@ -128,6 +128,316 @@ let elementwise2 (f : float -> float -> float) (a : rtvalue) (b : rtvalue) : rtv
   | Rfloat x, Rtensor y -> Rtensor (Array.map (fun yi -> f x yi) y)
   | _ -> fail "elementwise: bad operands"
 
+(** {1 Staged [stencil.apply]}
+
+    An apply body is straight-line code evaluated at every point of the
+    compute bounds.  Each time an apply executes, its body is compiled
+    once into an array of closures over a preallocated register file: one
+    [float array] slot per scalar value, one buffer per tensor value
+    (rewritten in place at every point), index values resolved to
+    constants, and values defined outside the body read from the
+    environment once.  An access becomes its input's base index for the
+    current point plus a stride delta fixed at staging time, so the point
+    loop does no lookups and allocates nothing.  Every float operation is
+    the one the value semantics prescribe, in the same order, so results
+    are bit-identical to evaluating the body point by point. *)
+
+type binop = Add | Sub | Mul | Div
+
+(** A grid the body reads or the apply writes, with its row-major
+    element strides (a tensor element type folds into the last one). *)
+type sgrid = { grid : grid; gix : int; lbs : int array; strides : int array }
+
+(** Where an SSA value of the body lives while the points run. *)
+type slot =
+  | Sfloat of int  (** register in the scalar file *)
+  | Stensor of float array  (** the value's own buffer *)
+  | Sint of int  (** index values are constants of the staging *)
+  | Sgrid of grid
+
+let strides_of (g : grid) : int array =
+  let b = Array.of_list g.gbounds in
+  let n = Array.length b in
+  let s = Array.make n (tensor_extent g.gelt) in
+  for d = n - 2 downto 0 do
+    s.(d) <- s.(d + 1) * (snd b.(d + 1) - fst b.(d + 1))
+  done;
+  s
+
+let bounds_to_string (b : (int * int) list) =
+  "[" ^ String.concat ", " (List.map (fun (lb, ub) -> Printf.sprintf "%d..%d" lb ub) b) ^ "]"
+
+(** The checks [flat_index] makes at every point, made once for a whole
+    region: the same rank, and [bounds] shifted by [off] inside [inner]. *)
+let check_inside ~what (bounds : (int * int) list) (off : int list) (inner : (int * int) list) =
+  if List.length off <> List.length inner then fail "%s: grid index rank mismatch" what;
+  List.iter2
+    (fun ((lo, hi), d) (lb, ub) ->
+      if lo + d < lb || hi - 1 + d >= ub then
+        fail "%s: bounds %s shifted by [%s] leave grid bounds %s" what (bounds_to_string bounds)
+          (String.concat ", " (List.map string_of_int off))
+          (bounds_to_string inner))
+    (List.combine bounds off) inner
+
+(** [stencil.store]: copy [src] into the same points of [dst], one
+    contiguous run per innermost row. *)
+let store_grid (src : grid) (dst : grid) : unit =
+  if List.for_all (fun (lb, ub) -> lb < ub) src.gbounds then begin
+    let z = tensor_extent src.gelt and zd = tensor_extent dst.gelt in
+    if z <> zd then
+      if z = 1 then fail "grid_set: scalar into tensor grid"
+      else fail "grid_set: tensor size %d, grid elt %d" z zd;
+    check_inside ~what:"stencil.store" src.gbounds (List.map (fun _ -> 0) src.gbounds)
+      dst.gbounds;
+    let sb = Array.of_list src.gbounds and db = Array.of_list dst.gbounds in
+    let ss = strides_of src and ds = strides_of dst in
+    let n = Array.length sb in
+    let rec go d so dof =
+      let lb, ub = sb.(d) in
+      let dof = dof + ((lb - fst db.(d)) * ds.(d)) in
+      if d = n - 1 then Array.blit src.gdata so dst.gdata dof ((ub - lb) * z)
+      else
+        for i = 0 to ub - lb - 1 do
+          go (d + 1) (so + (i * ss.(d))) (dof + (i * ds.(d)))
+        done
+    in
+    if n = 0 then Array.blit src.gdata 0 dst.gdata 0 z else go 0 0 0
+  end
+
+let scalar_binop op (r : float array) d x y : unit -> unit =
+  match op with
+  | Add -> fun () -> r.(d) <- r.(x) +. r.(y)
+  | Sub -> fun () -> r.(d) <- r.(x) -. r.(y)
+  | Mul -> fun () -> r.(d) <- r.(x) *. r.(y)
+  | Div -> fun () -> r.(d) <- r.(x) /. r.(y)
+
+(** [dst.(i) <- a.(oa + i * sa) op b.(ob + i * sb)]: a scalar operand is
+    its register read with stride 0 — the broadcast of [elementwise2]. *)
+let vector_binop op n (dst : float array) (a, oa, sa) (b, ob, sb) : unit -> unit =
+  match op with
+  | Add -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) +. b.(ob + (i * sb)) done
+  | Sub -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) -. b.(ob + (i * sb)) done
+  | Mul -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) *. b.(ob + (i * sb)) done
+  | Div -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) /. b.(ob + (i * sb)) done
+
+(** Execute one [stencil.apply] with Dirichlet semantics: each output
+    grid starts as a copy of the first input grid when shapes agree, then
+    the compute region is overwritten. *)
+let run_apply (env : env) (o : op) : rtvalue list =
+  let body = Stencil.apply_body o in
+  if List.length body.bargs <> List.length o.operands then
+    fail "stencil.apply: %d block args for %d operands" (List.length body.bargs)
+      (List.length o.operands);
+  let inputs = List.map (lookup env) o.operands in
+  let elt_of = function Temp (_, e) | Field (_, e) -> e | t -> t in
+  let out_grids =
+    List.map
+      (fun r ->
+        match inputs with
+        | Rgrid g :: _
+          when g.gbounds = bounds_of r.vtyp
+               && tensor_extent g.gelt = tensor_extent (elt_of r.vtyp) ->
+            copy_grid g
+        | _ -> grid_of_typ r.vtyp)
+      o.results
+  in
+  let cb = Stencil.compute_bounds o in
+  (* no point runs in an empty region, so no access can fail *)
+  let live = List.for_all (fun (lb, ub) -> lb < ub) cb in
+  (* every register and grid comes from a block arg, an op operand or
+     result, or an output: this bounds both tables *)
+  let cap =
+    List.fold_left
+      (fun n op -> n + List.length op.operands + List.length op.results)
+      (List.length body.bargs + List.length o.results)
+      body.bops
+  in
+  let regs = Array.make cap 0.0 and nregs = ref 0 in
+  let reg () =
+    incr nregs;
+    !nregs - 1
+  in
+  let grids = ref [] in
+  let index g =
+    match List.find_opt (fun sg -> sg.grid == g) !grids with
+    | Some sg -> sg
+    | None ->
+        let lbs = Array.of_list (List.map fst g.gbounds) in
+        let sg = { grid = g; gix = List.length !grids; lbs; strides = strides_of g } in
+        grids := sg :: !grids;
+        sg
+  in
+  let rank = List.length cb in
+  (* [lvl.(d)]: flat offset of the current point's first [d] coordinates
+     in each grid; the closures read the full offset, [lvl.(rank)] *)
+  let lvl = Array.init (rank + 1) (fun _ -> Array.make cap 0) in
+  let base = lvl.(rank) in
+  let of_rt = function
+    | Rfloat f ->
+        let r = reg () in
+        regs.(r) <- f;
+        Sfloat r
+    | Rint i -> Sint i
+    | Rtensor a -> Stensor a
+    | Rgrid g -> Sgrid g
+  in
+  let slots : (int, slot) Hashtbl.t = Hashtbl.create 64 in
+  List.iter2 (fun a v -> Hashtbl.replace slots a.vid (of_rt v)) body.bargs inputs;
+  let slot (v : value) =
+    match Hashtbl.find_opt slots v.vid with
+    | Some s -> s
+    | None ->
+        let s = of_rt (lookup env v) in
+        Hashtbl.replace slots v.vid s;
+        s
+  in
+  let prog = ref [] in
+  let emit f = prog := f :: !prog in
+  (* a float value as (array, offset, stride, length); -1: scalar *)
+  let view = function
+    | Sfloat r -> (regs, r, 0, -1)
+    | Stensor a -> (a, 0, 1, Array.length a)
+    | _ -> fail "elementwise: bad operands"
+  in
+  let binop op a b =
+    match (a, b) with
+    | Sfloat x, Sfloat y ->
+        let d = reg () in
+        emit (scalar_binop op regs d x y);
+        Sfloat d
+    | _ ->
+        let a, oa, sa, na = view a and b, ob, sb, nb = view b in
+        if na >= 0 && nb >= 0 && na <> nb then fail "elementwise: tensor sizes %d vs %d" na nb;
+        let dst = Array.make (max na nb) 0.0 in
+        emit (vector_binop op (Array.length dst) dst (a, oa, sa) (b, ob, sb));
+        Stensor dst
+  in
+  (* a tensor operand as (array, offset, length); a scalar is a 1-tensor *)
+  let tensor_view = function
+    | Sfloat r -> (regs, r, 1)
+    | Stensor a -> (a, 0, Array.length a)
+    | _ -> fail "expected tensor"
+  in
+  let stage (op : op) : slot option =
+    match op.opname with
+    | "arith.constant" -> (
+        match (attr op "value", (result op).vtyp) with
+        | Some (Float_attr f), Tensor ([ n ], _) -> Some (Stensor (Array.make n f))
+        | Some (Float_attr f), _ -> Some (of_rt (Rfloat f))
+        | Some (Int_attr i), (Index | I16 | I32 | I64) -> Some (Sint i)
+        | Some (Int_attr i), _ -> Some (of_rt (Rfloat (float_of_int i)))
+        | _ -> fail "arith.constant: bad value")
+    | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" ->
+        let k =
+          match op.opname with
+          | "arith.addf" -> Add
+          | "arith.subf" -> Sub
+          | "arith.mulf" -> Mul
+          | _ -> Div
+        in
+        Some (binop k (slot (operand op 0)) (slot (operand op 1)))
+    | "varith.add" | "varith.mul" -> (
+        let k = if op.opname = "varith.add" then Add else Mul in
+        match List.map slot op.operands with
+        | v :: vs -> Some (List.fold_left (binop k) v vs)
+        | [] -> fail "%s: no operands" op.opname)
+    | "stencil.access" ->
+        let sg = match slot (operand op 0) with Sgrid g -> index g | _ -> fail "expected grid" in
+        let off = dense_ints_exn op "offset" in
+        if live then begin
+          if List.length off <> rank then
+            fail "stencil.access: offset rank %d at point rank %d" (List.length off) rank;
+          check_inside ~what:"stencil.access" cb off sg.grid.gbounds
+        end;
+        let delta = ref 0 in
+        List.iteri
+          (fun d x -> if d < Array.length sg.strides then delta := !delta + (x * sg.strides.(d)))
+          off;
+        let data = sg.grid.gdata and k = sg.gix and delta = !delta in
+        let z = tensor_extent sg.grid.gelt in
+        if z = 1 then begin
+          let r = reg () in
+          emit (fun () -> regs.(r) <- data.(base.(k) + delta));
+          Some (Sfloat r)
+        end
+        else begin
+          let buf = Array.make z 0.0 in
+          emit (fun () -> Array.blit data (base.(k) + delta) buf 0 z);
+          Some (Stensor buf)
+        end
+    | "tensor.empty" ->
+        let n = match (result op).vtyp with Tensor ([ n ], _) -> n | _ -> 0 in
+        Some (Stensor (Array.make n 0.0))
+    | "tensor.extract_slice" ->
+        let src, so, n = tensor_view (slot (operand op 0)) in
+        let off = int_attr_exn op "offset" and size = int_attr_exn op "size" in
+        if off < 0 || size < 0 || off + size > n then
+          fail "tensor.extract_slice: [%d, %d) out of tensor<%d>" off (off + size) n;
+        let buf = Array.make size 0.0 in
+        emit (fun () -> Array.blit src (so + off) buf 0 size);
+        Some (Stensor buf)
+    | "tensor.insert_slice" ->
+        let src, so, ns = tensor_view (slot (operand op 0)) in
+        let dst, dso, nd = tensor_view (slot (operand op 1)) in
+        let off =
+          match slot (operand op 2) with
+          | Sint i -> i
+          | _ -> fail "tensor.insert_slice: offset is not an index value"
+        in
+        if off < 0 || off + ns > nd then
+          fail "tensor.insert_slice: [%d, %d) out of tensor<%d>" off (off + ns) nd;
+        let buf = Array.make nd 0.0 in
+        emit (fun () ->
+            Array.blit dst dso buf 0 nd;
+            Array.blit src so buf off ns);
+        Some (Stensor buf)
+    | "stencil.return" ->
+        if List.length op.operands <> List.length out_grids then
+          fail "stencil.apply: body returns %d values for %d results"
+            (List.length op.operands) (List.length out_grids);
+        List.iter2
+          (fun g v ->
+            if live then
+              check_inside ~what:"stencil.apply result" cb (List.map (fun _ -> 0) cb)
+                g.gbounds;
+            let data = g.gdata and k = (index g).gix and z = tensor_extent g.gelt in
+            match slot v with
+            | Sfloat r when z = 1 -> emit (fun () -> data.(base.(k)) <- regs.(r))
+            | Stensor a when Array.length a = z -> emit (fun () -> Array.blit a 0 data base.(k) z)
+            | Sfloat _ -> fail "grid_set: scalar into tensor grid"
+            | Stensor a -> fail "grid_set: tensor size %d, grid elt %d" (Array.length a) z
+            | _ -> fail "grid_set: bad value")
+          out_grids op.operands;
+        None
+    | name -> fail "interpreter: unsupported op %s" name
+  in
+  List.iter
+    (fun op ->
+      match (stage op, op.results) with
+      | Some s, [ r ] -> Hashtbl.replace slots r.vid s
+      | None, [] -> ()
+      | _ -> fail "%s: unexpected result count" op.opname)
+    body.bops;
+  if not (List.exists (fun op -> op.opname = "stencil.return") body.bops) then
+    fail "stencil.apply: body has no stencil.return";
+  let prog = Array.of_list (List.rev !prog) in
+  let grids = Array.of_list (List.rev !grids) in
+  let ng = Array.length grids in
+  let cb = Array.of_list cb in
+  let run_point () = Array.iter (fun f -> f ()) prog in
+  let rec go d =
+    let lo, hi = cb.(d) and cur = lvl.(d) and next = lvl.(d + 1) in
+    for i = lo to hi - 1 do
+      for k = 0 to ng - 1 do
+        let g = grids.(k) in
+        next.(k) <- cur.(k) + ((i - g.lbs.(d)) * g.strides.(d))
+      done;
+      if d + 1 = rank then run_point () else go (d + 1)
+    done
+  in
+  if rank = 0 then run_point () else if live then go 0;
+  List.map (fun g -> Rgrid g) out_grids
+
 (** {1 Interpreter} *)
 
 type ctx = {
@@ -224,16 +534,13 @@ and run_op (ctx : ctx) (o : op) : [ `Values of rtvalue list | `Terminator of rtv
       | Rgrid g -> `Values [ Rgrid g ]
       | _ -> fail "stencil.load: operand is not a grid")
   | "stencil.store" ->
-      let src = as_grid (lookup env (operand o 0)) in
-      let dst = as_grid (lookup env (operand o 1)) in
-      (* copy overlapping region *)
-      iter_points src.gbounds (fun p -> grid_set dst p (grid_get src p));
+      store_grid (as_grid (lookup env (operand o 0))) (as_grid (lookup env (operand o 1)));
       `Values []
   | "dmp.swap" ->
       (* halo exchange is the identity in single-address-space semantics *)
       `Values [ lookup env (operand o 0) ]
-  | "stencil.apply" -> `Values (run_apply ctx o)
-  | "stencil.access" | "csl_stencil.access" ->
+  | "stencil.apply" -> `Values (run_apply env o)
+  | "csl_stencil.access" ->
       let g = as_grid (lookup env (operand o 0)) in
       let off = dense_ints_exn o "offset" in
       if List.length ctx.point <> List.length off then
@@ -241,7 +548,7 @@ and run_op (ctx : ctx) (o : op) : [ `Values of rtvalue list | `Terminator of rtv
           (List.length ctx.point);
       let idx = List.map2 ( + ) ctx.point off in
       `Values [ grid_get g idx ]
-  | "stencil.return" | "scf.yield" | "func.return" | "csl_stencil.yield" ->
+  | "scf.yield" | "func.return" | "csl_stencil.yield" ->
       `Terminator (operand_vals ())
   | "scf.for" ->
       let lb = as_int (lookup env (operand o 0)) in
@@ -274,36 +581,6 @@ and run_op (ctx : ctx) (o : op) : [ `Values of rtvalue list | `Terminator of rtv
       | Some h -> `Values (h ctx o run_block)
       | None -> fail "interpreter: unsupported op %s" name)
 
-and run_apply (ctx : ctx) (o : op) : rtvalue list =
-  let env = ctx.env in
-  let body = Stencil.apply_body o in
-  List.iter2 (fun arg input -> bind env arg (lookup env input)) body.bargs o.operands;
-  (* Dirichlet semantics: start each output grid as a copy of the first
-     input grid when shapes agree, then overwrite the compute region. *)
-  let first_input =
-    match o.operands with v :: _ -> Some (lookup env v) | [] -> None
-  in
-  let elt_of = function Temp (_, e) | Field (_, e) -> e | t -> t in
-  let out_grids =
-    List.map
-      (fun r ->
-        match first_input with
-        | Some (Rgrid g)
-          when g.gbounds = bounds_of r.vtyp
-               && tensor_extent g.gelt = tensor_extent (elt_of r.vtyp) ->
-            copy_grid g
-        | _ -> grid_of_typ r.vtyp)
-      o.results
-  in
-  let out_bounds = Stencil.compute_bounds o in
-  let saved_point = ctx.point in
-  iter_points out_bounds (fun p ->
-      ctx.point <- p;
-      let vals = run_block ctx body in
-      List.iter2 (fun g v -> grid_set g p v) out_grids vals);
-  ctx.point <- saved_point;
-  List.map (fun g -> Rgrid g) out_grids
-
 and call_func (ctx : ctx) (f : op) (args : rtvalue list) : rtvalue list =
   let entry = Func.entry f in
   if List.length entry.bargs <> List.length args then
@@ -324,18 +601,30 @@ let run_func (m : op) ~(name : string) (args : rtvalue list) : rtvalue list =
 (** {1 Grid initialization and comparison helpers} *)
 
 (** Deterministic pseudo-random-ish init so reference and simulated runs
-    agree: value depends only on the point coordinates. *)
-let init_value (idx : int list) : float =
-  let h = List.fold_left (fun acc i -> (acc * 31) + i + 17) 7 idx in
-  float_of_int (((h mod 1000) + 1000) mod 1000) /. 997.0
+    agree: value depends only on the point coordinates, through a hash
+    folded over them. *)
+let init_step h i = (h * 31) + i + 17
 
+let[@inline] init_of_hash h = float_of_int (((h mod 1000) + 1000) mod 1000) /. 997.0
+let init_value (idx : int list) : float = init_of_hash (List.fold_left init_step 7 idx)
+
+(** [init_value] at every element, the hash folded incrementally in
+    row-major order; a z-column element's index [k] is its last
+    coordinate. *)
 let init_grid (g : grid) : unit =
   let z = tensor_extent g.gelt in
-  if z = 1 then iter_points g.gbounds (fun p -> grid_set_scalar g p (init_value p))
-  else
-    iter_points g.gbounds (fun p ->
-        let col = Array.init z (fun k -> init_value (p @ [ k ])) in
-        grid_set g p (Rtensor col))
+  let dims = if z = 1 then g.gbounds else g.gbounds @ [ (0, z) ] in
+  let pos = ref 0 in
+  let rec go h = function
+    | [] ->
+        g.gdata.(!pos) <- init_of_hash h;
+        incr pos
+    | (lb, ub) :: rest ->
+        for i = lb to ub - 1 do
+          go (init_step h i) rest
+        done
+  in
+  go 7 dims
 
 (** Reinterpret a 3-D scalar grid as the corresponding 2-D grid of
     z-column tensors (identical flattened layout) — used to feed the same

@@ -165,8 +165,10 @@ let test_iter_points_order () =
 (* stencil apply semantics                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* 1-D-in-x average on a 4x1x1-ish grid (3-D types as the dialect wants) *)
-let shift_module () =
+(* an apply over [(0, 4); (0, 1); (0, 1)] of a grid with an x halo of 1
+   (3-D types as the dialect wants); [body] maps the block arg to the
+   returned value *)
+let apply_module body =
   let gt = Temp ([ (-1, 4); (0, 1); (0, 1) ], F32) in
   let ft = Field ([ (-1, 4); (0, 1); (0, 1) ], F32) in
   let f =
@@ -176,20 +178,15 @@ let shift_module () =
           Stencil.apply
             ~compute_bounds:[ (0, 4); (0, 1); (0, 1) ]
             ~inputs:[ t ] ~result_type:gt
-            (fun bb bargs ->
-              let v =
-                B.insert bb (Stencil.access (List.hd bargs) ~offset:[ -1; 0; 0 ])
-              in
-              B.insert0 bb (Stencil.return_ [ v ]))
+            (fun bb bargs -> B.insert0 bb (Stencil.return_ [ body bb (List.hd bargs) ]))
         in
-        let r = B.insert b ap in
-        B.insert0 b (Stencil.store r (List.hd args));
+        B.insert0 b (Stencil.store (B.insert b ap) (List.hd args));
         B.insert0 b (Func.return_ []))
   in
   (Builtin.module_op [ f ], ft)
 
 let test_apply_shift_and_dirichlet () =
-  let m, ft = shift_module () in
+  let m, ft = apply_module (fun bb u -> B.insert bb (Stencil.access u ~offset:[ -1; 0; 0 ])) in
   let g = I.grid_of_typ ft in
   List.iteri (fun i x -> I.grid_set_scalar g [ x; 0; 0 ] (float_of_int i)) [ -1; 0; 1; 2; 3 ];
   ignore (I.run_func m ~name:"main" [ I.Rgrid g ]);
@@ -221,6 +218,33 @@ let test_access_rank_check () =
   match Wsc_ir.Verifier.verify_registered m with
   | exception Wsc_ir.Verifier.Verification_error _ -> ()
   | () -> Alcotest.fail "expected rank error"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let expect_interp_error name ~mentions body =
+  let m, ft = apply_module body in
+  match I.run_func m ~name:"main" [ I.Rgrid (I.grid_of_typ ft) ] with
+  | exception I.Interp_error msg ->
+      List.iter
+        (fun s ->
+          if not (contains msg s) then
+            Alcotest.failf "%s: error %S does not mention %S" name msg s)
+        mentions
+  | _ -> Alcotest.failf "%s: expected Interp_error" name
+
+let test_apply_access_out_of_bounds () =
+  (* x = 0 - 2 is below the grid's lower bound -1 *)
+  expect_interp_error "access" ~mentions:[ "stencil.access"; "-2"; "-1..4" ] (fun bb u ->
+      B.insert bb (Stencil.access u ~offset:[ -2; 0; 0 ]))
+
+let test_apply_unsupported_op () =
+  expect_interp_error "unsupported" ~mentions:[ "unsupported op"; "arith.addi" ] (fun bb _ ->
+      let i = B.insert bb (Arith.constant_index 1) in
+      ignore (B.insert bb (Arith.addi i i));
+      B.insert bb (Arith.constant_f 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* dmp swaps                                                           *)
@@ -270,6 +294,63 @@ let test_tensor_slice_bounds () =
   match Wsc_ir.Verifier.verify_registered (Builtin.module_op [ bad ]) with
   | exception Wsc_ir.Verifier.Verification_error _ -> ()
   | () -> Alcotest.fail "expected slice bounds error"
+
+(* ------------------------------------------------------------------ *)
+(* bit-identity: digests of the IEEE bits of every output float,       *)
+(* recorded from the point-by-point interpreter the staged one replaced *)
+(* ------------------------------------------------------------------ *)
+
+module P = Wsc_frontends.Stencil_program
+module Bench = Wsc_benchmarks.Benchmarks
+module Core = Wsc_core
+
+let digest_of (each : (I.grid list -> unit) -> unit) : string =
+  let buf = Buffer.create (1 lsl 20) in
+  each
+    (List.iter (fun (g : I.grid) ->
+         Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) g.I.gdata));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let check_digest name expected each = Alcotest.(check string) name expected (digest_of each)
+
+let test_reference_bits_benchmarks () =
+  check_digest "run_reference, five benchmarks, 6x6, 2 steps" "2254ec5312062f56affba5475be2b46f" (fun add ->
+      List.iter
+        (fun (d : Bench.descr) -> add (P.run_reference (d.Bench.make_n (Bench.Proxy (6, 6)) 2)))
+        Bench.all)
+
+let test_reference_bits_fuzz () =
+  check_digest "run_reference, fuzz seed 12345, cases 0-255" "a5820c6fb74699b7a737f331214062c8" (fun add ->
+      for index = 0 to 255 do
+        add (P.run_reference (Wsc_harden.Fuzz.generate ~seed:12345 ~index))
+      done)
+
+(* the tensorized module after [passes], on the reference's initial data *)
+let tensorized_bits passes add =
+  List.iter
+    (fun (d : Bench.descr) ->
+      let p = d.Bench.make Bench.Tiny in
+      let m = Wsc_ir.Pass.run_pipeline passes (P.compile p) in
+      let grids =
+        List.map
+          (fun _ ->
+            let g = I.grid_of_typ (P.field_type p) in
+            I.init_grid g;
+            I.retensorize_grid g)
+          p.P.state
+      in
+      ignore (I.run_func m ~name:"main" (List.map (fun g -> I.Rgrid g) grids));
+      add grids)
+    Bench.all
+
+let group1 =
+  [ Core.Stencil_inlining.pass; Core.Distribute.distribute_pass; Core.Distribute.tensorize_pass ]
+
+let test_tensorized_bits () =
+  check_digest "after group 1, Tiny" "e00f2253102453a5eb7c9704f343fc43" (tensorized_bits group1);
+  check_digest "after group 2, Tiny" "7a272b84faea346e14071004ac4f270f"
+    (tensorized_bits
+       (group1 @ [ Core.Varith_passes.to_varith_pass; Core.Varith_passes.fuse_repeated_pass ]))
 
 (* ------------------------------------------------------------------ *)
 (* property tests                                                      *)
@@ -333,6 +414,15 @@ let () =
             test_apply_shift_and_dirichlet;
           Alcotest.test_case "apply verifier" `Quick test_apply_verifier;
           Alcotest.test_case "access rank" `Quick test_access_rank_check;
+          Alcotest.test_case "apply access out of bounds" `Quick
+            test_apply_access_out_of_bounds;
+          Alcotest.test_case "apply unsupported op" `Quick test_apply_unsupported_op;
+        ] );
+      ( "bit-identity",
+        [
+          Alcotest.test_case "reference, benchmarks" `Quick test_reference_bits_benchmarks;
+          Alcotest.test_case "reference, fuzz" `Quick test_reference_bits_fuzz;
+          Alcotest.test_case "tensorized, groups 1-2" `Quick test_tensorized_bits;
         ] );
       ( "dmp",
         [

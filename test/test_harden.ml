@@ -95,6 +95,22 @@ let test_oracle_catches_injected_bug () =
       check "interp tier flags it first" true
         (H.Oracle.failure_key f = "mismatch:interp")
 
+(* multi-chunk lowering near the 48 kB budget: the paper's z extents on
+   a 4x4 proxy, reference against fabric *)
+let test_oracle_multichunk_paper_z () =
+  let module B = Wsc_benchmarks.Benchmarks in
+  let module Pipeline = Wsc_core.Pipeline in
+  List.iter
+    (fun (id, chunks) ->
+      let p = (B.find id).B.make_n (B.Proxy (4, 4)) 2 in
+      let options = { Pipeline.default_options with num_chunks_override = Some chunks } in
+      match (H.Oracle.check ~multiwafer:false ~options p).H.Oracle.failure with
+      | Some f ->
+          Alcotest.failf "%s, %d chunks: %s" id chunks (H.Oracle.failure_to_string f)
+      | None -> ())
+    (* seismic's z interior is 450, which 4 chunks do not divide *)
+    [ ("jacobian", 2); ("jacobian", 4); ("seismic", 2); ("seismic", 3) ]
+
 (* ------------------------------------------------------------------ *)
 (* reducer                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -245,6 +261,7 @@ let () =
             test_oracle_agrees_on_clean_programs;
           Alcotest.test_case "injected bug caught" `Quick
             test_oracle_catches_injected_bug;
+          Alcotest.test_case "multi-chunk at paper z" `Quick test_oracle_multichunk_paper_z;
         ] );
       ( "reduce",
         [
