@@ -268,8 +268,8 @@ let simulate_cmd =
           let k = F.sched_stats h.sim in
           Printf.printf
             "  scheduler: scans=%d probes=%d wakeups=%d parks=%d \
-             max_queue_depth=%d\n"
-            k.scans k.probes k.wakeups k.parks k.max_queue_depth;
+             max_queue_depth=%d max_live_sends=%d\n"
+            k.scans k.probes k.wakeups k.parks k.max_queue_depth k.max_live_sends;
           print_string
             (Wsc_trace.Aggregate.busy_blocked_table (F.pe_summaries h.sim))
         end;

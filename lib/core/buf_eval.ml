@@ -82,37 +82,24 @@ let eval_block (env : env) (blk : block) : cell list =
           Bufview.blit ~src:(as_buf env (operand o 0)) ~dst:(as_buf env (operand o 1))
       | "linalg.fill" ->
           Bufview.fill (as_buf env (operand o 0)) (float_attr_exn o "value")
-      | "linalg.add" ->
-          Bufview.map2_into ( +. )
+      | ("linalg.add" | "linalg.sub" | "linalg.mul" | "linalg.div") as name ->
+          let op : Bufview.op =
+            match name with
+            | "linalg.add" -> Add
+            | "linalg.sub" -> Sub
+            | "linalg.mul" -> Mul
+            | _ -> Div
+          in
+          Bufview.arith_into op
             (as_buf env (operand o 0))
             (as_buf env (operand o 1))
             (as_buf env (operand o 2))
-      | "linalg.sub" ->
-          Bufview.map2_into ( -. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.mul" ->
-          Bufview.map2_into ( *. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.div" ->
-          Bufview.map2_into ( /. )
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-            (as_buf env (operand o 2))
-      | "linalg.mul_scalar" ->
-          let k = float_attr_exn o "scalar" in
-          Bufview.map_into
-            (fun x -> x *. k)
-            (as_buf env (operand o 0))
-            (as_buf env (operand o 1))
-      | "linalg.add_scalar" ->
-          let k = float_attr_exn o "scalar" in
-          Bufview.map_into
-            (fun x -> x +. k)
-            (as_buf env (operand o 0))
+      | ("linalg.mul_scalar" | "linalg.add_scalar") as name ->
+          let a = as_buf env (operand o 0) in
+          let k = Bufview.splat (float_attr_exn o "scalar") ~len:a.Bufview.len in
+          Bufview.arith_into
+            (if name = "linalg.mul_scalar" then Mul else Add)
+            a k
             (as_buf env (operand o 1))
       | "linalg.fmac" ->
           Bufview.fmac_into

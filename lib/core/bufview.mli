@@ -10,6 +10,10 @@ val of_array : float array -> t
 (** @raise Invalid_argument when the view exceeds the backing array. *)
 val make : float array -> off:int -> len:int -> ?stride:int -> unit -> t
 
+(** [splat x ~len] — a read-only view of [len] copies of [x] (stride 0),
+    the scalar operand of {!arith_into}. *)
+val splat : float -> len:int -> t
+
 (** Sub-view relative to [v]'s own indexing. *)
 val sub : t -> off:int -> len:int -> t
 
@@ -21,11 +25,14 @@ val to_array : t -> float array
 (** @raise Invalid_argument on length mismatch (all functions below). *)
 val blit : src:t -> dst:t -> unit
 
-(** [map2_into f a b dst] — [dst.(i) <- f a.(i) b.(i)]; operands may
-    alias [dst] (accumulator reuse relies on it). *)
-val map2_into : (float -> float -> float) -> t -> t -> t -> unit
+(** The elementwise arithmetic of the DSD builtins ([@fadds], [@fsubs],
+    [@fmuls]) and of [linalg.add/sub/mul/div]. *)
+type op = Add | Sub | Mul | Div
 
-val map_into : (float -> float) -> t -> t -> unit
+(** [arith_into op a b dst] — [dst.(i) <- a.(i) op b.(i)]; operands may
+    alias [dst] (accumulator reuse relies on it).  A scalar operand on
+    either side is a {!splat}. *)
+val arith_into : op -> t -> t -> t -> unit
 
 (** [fmac_into a b s dst] — [dst.(i) <- a.(i) +. b.(i) *. s], the
     semantics of CSL's [@fmacs]. *)

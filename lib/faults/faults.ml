@@ -332,6 +332,13 @@ let is_tainted_send (t : t) ~apply ~seq ~x ~y : bool =
       Mutex.protect i.lock (fun () ->
           Hashtbl.mem i.tainted_sends (apply, seq, x, y))
 
+let forget_send (t : t) ~apply ~seq ~x ~y : unit =
+  match t with
+  | Null -> ()
+  | Injector i ->
+      Mutex.protect i.lock (fun () ->
+          Hashtbl.remove i.tainted_sends (apply, seq, x, y))
+
 (* ------------------------------------------------------------------ *)
 (* Wafer-granularity sites                                             *)
 (* ------------------------------------------------------------------ *)

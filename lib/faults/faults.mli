@@ -176,6 +176,9 @@ val taint_send : t -> apply:int -> seq:int -> x:int -> y:int -> unit
 
 val is_tainted_send : t -> apply:int -> seq:int -> x:int -> y:int -> bool
 
+(** Drop a send's taint entry once every receiver has consumed it. *)
+val forget_send : t -> apply:int -> seq:int -> x:int -> y:int -> unit
+
 (** {1 Wafer-granularity sites}
 
     The multi-wafer co-simulator's fault models, one level up from the

@@ -48,7 +48,30 @@ type comm_cfg = {
   chunk_size : int;
   chunk_cb : string;
   done_cb : string;
+  src_offsets : (int * int) array;
+      (** distinct (dx, dy) from the receiver to each sender it reads, in
+          first-encounter order over inputs, swaps and depth *)
 }
+
+let dir_vector = function
+  | Dmp.East -> (1, 0)
+  | Dmp.West -> (-1, 0)
+  | Dmp.North -> (0, 1)
+  | Dmp.South -> (0, -1)
+
+let source_offsets (inputs : input_cfg list) : (int * int) array =
+  let acc = ref [] in
+  List.iter
+    (fun inp ->
+      List.iter
+        (fun (sw : Dmp.swap_desc) ->
+          let vx, vy = dir_vector sw.dir in
+          for d = 1 to sw.depth do
+            if not (List.mem (vx * d, vy * d) !acc) then acc := (vx * d, vy * d) :: !acc
+          done)
+        inp.swaps)
+    inputs;
+  Array.of_list (List.rev !acc)
 
 let parse_comm_cfg (a : attr) : comm_cfg =
   let dict = match a with Dict_attr d -> d | _ -> fail "communicate: bad config" in
@@ -120,6 +143,7 @@ let parse_comm_cfg (a : attr) : comm_cfg =
     chunk_size = geti "chunk_size";
     chunk_cb = gets "chunk_cb";
     done_cb = gets "done_cb";
+    src_offsets = source_offsets inputs;
   }
 
 (** {1 PE state} *)
@@ -167,7 +191,16 @@ let stats_equal (a : pe_stats) (b : pe_stats) : bool = stats_diff a b = None
 
 type send_record = {
   sr_chunk_ready : float array;  (** completion time of each chunk injection *)
-  sr_data : float array list;  (** snapshot of the sent z-range, per input *)
+  sr_data : float array array;  (** snapshot of the sent z-range, per input *)
+  sr_offsets : (int * int) array;  (** the exchange's [src_offsets] *)
+  mutable sr_unread : int;
+      (** receivers among this send table's columns that have not
+          consumed the record yet; the record leaves the table at zero.
+          Each table holds its own copy of the record (sharing the data),
+          so this count is only touched by the table's owner. *)
+  sr_pending : int Atomic.t;
+      (** receivers grid-wide that have not consumed it yet, shared by
+          every table's copy; the {!Faults} taint entry goes at zero *)
 }
 
 type waiting = {
@@ -210,6 +243,8 @@ module Sched = struct
     mutable wakeups : int;  (** parked PEs re-enqueued by a landing send *)
     mutable parks : int;  (** times a PE was parked on a wake list *)
     mutable max_queue_depth : int;  (** high-water mark of the ready queue *)
+    mutable max_live_sends : int;
+        (** high-water mark of records held in the send table *)
   }
 
   type t = {
@@ -236,7 +271,15 @@ module Sched = struct
 
   let create ~(width : int) ~(height : int) =
     {
-      stats = { scans = 0; probes = 0; wakeups = 0; parks = 0; max_queue_depth = 0 };
+      stats =
+        {
+          scans = 0;
+          probes = 0;
+          wakeups = 0;
+          parks = 0;
+          max_queue_depth = 0;
+          max_live_sends = 0;
+        };
       ring = Array.make (max 1 (width * height)) 0;
       head = 0;
       count = 0;
@@ -319,7 +362,12 @@ type t = {
   funcs : (string, op) Hashtbl.t;
   tasks : (string, op) Hashtbl.t;
   sends : (int * int * int * int, send_record) Hashtbl.t;
-      (** (apply, seq, x, y) -> record *)
+      (** (apply, seq, x, y) -> record, until every receiver in columns
+          [x_lo..x_hi] has consumed it *)
+  x_lo : int;
+  x_hi : int;
+      (** columns whose receivers read from [sends]: the whole grid, or
+          one strip of the parallel driver *)
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident boundary columns (x, y outside the PE grid) *)
   z_halo : int;
@@ -436,6 +484,8 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     funcs;
     tasks;
     sends = Hashtbl.create 1024;
+    x_lo = 0;
+    x_hi = width - 1;
     halo = Hashtbl.create 64;
     z_halo = int_attr_exn program "z_halo";
     zfull = int_attr_exn program "zfull";
@@ -726,20 +776,22 @@ let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : bloc
             (Cdsd { b with Bufview.data = base.Bufview.data; off = base.Bufview.off })
       | "csl.fadds" | "csl.fsubs" | "csl.fmuls" ->
           let dest = as_view (operand o 0) in
-          let src1 = lookup (operand o 1) and src2 = lookup (operand o 2) in
-          let f =
+          let op : Bufview.op =
             match o.opname with
-            | "csl.fadds" -> ( +. )
-            | "csl.fsubs" -> ( -. )
-            | _ -> ( *. )
+            | "csl.fadds" -> Add
+            | "csl.fsubs" -> Sub
+            | _ -> Mul
           in
-          (match (src1, src2) with
-          | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> Bufview.map2_into f a b dest
-          | (Cdsd a | Cbuf a), Cfloat k -> Bufview.map_into (fun x -> f x k) a dest
-          | (Cdsd a | Cbuf a), Cint i ->
-              Bufview.map_into (fun x -> f x (float_of_int i)) a dest
-          | Cfloat k, (Cdsd b | Cbuf b) -> Bufview.map_into (fun x -> f k x) b dest
-          | _ -> fail "%s: bad operands" o.opname);
+          let a, b =
+            match (lookup (operand o 1), lookup (operand o 2)) with
+            | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> (a, b)
+            | (Cdsd a | Cbuf a), Cfloat k -> (a, Bufview.splat k ~len:a.Bufview.len)
+            | (Cdsd a | Cbuf a), Cint i ->
+                (a, Bufview.splat (float_of_int i) ~len:a.Bufview.len)
+            | Cfloat k, (Cdsd b | Cbuf b) -> (Bufview.splat k ~len:b.Bufview.len, b)
+            | _ -> fail "%s: bad operands" o.opname
+          in
+          Bufview.arith_into op a b dest;
           builtin_cost dest.Bufview.len;
           pe.stats.flops <- pe.stats.flops +. float_of_int dest.Bufview.len
       | "csl.fmacs" ->
@@ -830,24 +882,54 @@ and exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm_cfg 
 
 (** {1 Communication engine} *)
 
-let dir_vector = function
-  | Dmp.East -> (1, 0)
-  | Dmp.West -> (-1, 0)
-  | Dmp.North -> (0, 1)
-  | Dmp.South -> (0, -1)
-
 let in_grid sim x y = x >= 0 && x < sim.width && y >= 0 && y < sim.height
+
+(** Receivers of a record sent from (sx, sy): the in-grid PEs at
+    minus each source offset, restricted to columns [x0..x1]. *)
+let count_readers (sim : t) ~(x0 : int) ~(x1 : int) ~(sx : int) ~(sy : int)
+    (offsets : (int * int) array) : int =
+  let n = ref 0 in
+  Array.iter
+    (fun (dx, dy) ->
+      let rx = sx - dx and ry = sy - dy in
+      if in_grid sim rx ry && rx >= x0 && rx <= x1 then incr n)
+    offsets;
+  !n
+
+(** Hold a copy of [r] in [sim]'s send table until every receiver among
+    the table's columns has consumed it ({!release_send}); a table with
+    no such receiver does not keep it at all. *)
+let store_send (sim : t) ((_, _, sx, sy) as key : Sched.key) (r : send_record) :
+    unit =
+  let n = count_readers sim ~x0:sim.x_lo ~x1:sim.x_hi ~sx ~sy r.sr_offsets in
+  if n > 0 then begin
+    Hashtbl.replace sim.sends key { r with sr_unread = n };
+    let st = sim.sched.Sched.stats in
+    let live = Hashtbl.length sim.sends in
+    if live > st.Sched.max_live_sends then st.Sched.max_live_sends <- live
+  end
+
+(** One receiver has consumed the record under [key]: evict it from the
+    table once every receiver of the table has, and forget its taint
+    entry once every receiver of the grid has. *)
+let release_send (sim : t) ((apply, seq, x, y) as key : Sched.key) : unit =
+  match Hashtbl.find_opt sim.sends key with
+  | None -> () (* skipped: the sender halted and never registered *)
+  | Some r ->
+      r.sr_unread <- r.sr_unread - 1;
+      if r.sr_unread = 0 then Hashtbl.remove sim.sends key;
+      if Atomic.fetch_and_add r.sr_pending (-1) = 1 && Faults.enabled sim.faults
+      then Faults.forget_send sim.faults ~apply ~seq ~x ~y
 
 (** Register this PE's send for an exchange: snapshot the z range of each
     send buffer, charge injection cost, record chunk completion times. *)
 let register_send (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) : unit =
   let m = sim.machine in
   let data =
-    List.map
-      (fun inp ->
-        let buf = deref pe inp.send_ptr in
-        Array.sub buf cfg.z_base cfg.c_nz)
-      cfg.inputs
+    Array.of_list
+      (List.map
+         (fun inp -> Array.sub (deref pe inp.send_ptr) cfg.z_base cfg.c_nz)
+         cfg.inputs)
   in
   let dirs_per_input =
     List.map (fun inp -> List.length inp.swaps) cfg.inputs
@@ -872,15 +954,28 @@ let register_send (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) : unit =
     trace_span sim pe ~cat:"send"
       ~name:(Printf.sprintf "inject a%d#%d" cfg.apply_id seq)
       inject_start pe.clock;
-  let record = { sr_chunk_ready = ready; sr_data = data } in
-  Hashtbl.replace sim.sends (cfg.apply_id, seq, pe.px, pe.py) record;
+  let readers =
+    count_readers sim ~x0:0 ~x1:(sim.width - 1) ~sx:pe.px ~sy:pe.py cfg.src_offsets
+  in
+  let record =
+    {
+      sr_chunk_ready = ready;
+      sr_data = data;
+      sr_offsets = cfg.src_offsets;
+      sr_unread = 0;
+      sr_pending = Atomic.make readers;
+    }
+  in
+  (* taint propagation: data computed from substituted or unrecoverable
+     inputs invalidates every receiver that reduces this send.  Marked
+     before the record is published, so no receiver (in another strip
+     of the parallel driver) can consume it unmarked. *)
+  if Faults.enabled sim.faults && Faults.is_tainted sim.faults ~x:pe.px ~y:pe.py
+  then Faults.taint_send sim.faults ~apply:cfg.apply_id ~seq ~x:pe.px ~y:pe.py;
+  store_send sim (cfg.apply_id, seq, pe.px, pe.py) record;
   (match sim.on_send with
   | None -> ()
   | Some export -> export (cfg.apply_id, seq, pe.px, pe.py) record);
-  (* taint propagation: data computed from substituted or unrecoverable
-     inputs invalidates every receiver that reduces this send *)
-  if Faults.enabled sim.faults && Faults.is_tainted sim.faults ~x:pe.px ~y:pe.py
-  then Faults.taint_send sim.faults ~apply:cfg.apply_id ~seq ~x:pe.px ~y:pe.py;
   (* wake any neighbour parked on this send *)
   let woken = Sched.notify sim.sched (cfg.apply_id, seq, pe.px, pe.py) in
   if Trace.enabled sim.trace then
@@ -900,50 +995,46 @@ let halo_slot (inp : input_cfg) : int =
 
 (** Where a receiver's column comes from. *)
 type source =
-  | Src_fabric of float array * float array
-      (** neighbour's snapshot and per-chunk injection-ready times *)
-  | Src_halo of float array  (** host-resident boundary column *)
+  | Src_fabric of send_record  (** a neighbour's snapshot *)
+  | Src_halo of float array * int
+      (** host-resident boundary column, and where this exchange's z
+          range starts in it *)
   | Src_skipped
       (** the sender halted and the resilience layer degraded past it:
           receivers substitute zeroes and mark their data invalid *)
 
-(** The column a receiver gets from offset (dx, dy): either a fabric
-    neighbour's snapshot or the host-resident boundary column. *)
-let source_column (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) ~(input : int)
-    ~(dx : int) ~(dy : int) : source option =
+(** Whether the sender at offset (dx, dy) has made its column available.
+    Boundary columns are held host-side and always are. *)
+let source_present (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int)
+    ((dx, dy) : int * int) : bool =
+  let sx = pe.px + dx and sy = pe.py + dy in
+  (not (in_grid sim sx sy))
+  || Hashtbl.mem sim.sends (cfg.apply_id, seq, sx, sy)
+  || Faults.enabled sim.faults
+     && Faults.is_skipped sim.faults ~apply:cfg.apply_id ~seq ~x:sx ~y:sy
+
+(** The column a receiver gets for [inp] from offset (dx, dy), once
+    {!source_present}. *)
+let source_column (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int)
+    (inp : input_cfg) ~(dx : int) ~(dy : int) : source =
   let sx = pe.px + dx and sy = pe.py + dy in
   if in_grid sim sx sy then
     match Hashtbl.find_opt sim.sends (cfg.apply_id, seq, sx, sy) with
-    | Some sr -> Some (Src_fabric (List.nth sr.sr_data input, sr.sr_chunk_ready))
+    | Some sr -> Src_fabric sr
     | None ->
         if
           Faults.enabled sim.faults
           && Faults.is_skipped sim.faults ~apply:cfg.apply_id ~seq ~x:sx ~y:sy
-        then Some Src_skipped
-        else None (* sender not ready: caller retries later *)
-  else begin
-    (* boundary: Dirichlet column held host-side, always available *)
-    let slot = halo_slot (List.nth cfg.inputs input) in
+        then Src_skipped
+        else fail "complete_exchange: sender disappeared"
+  else
     match Hashtbl.find_opt sim.halo (sx, sy) with
-    | Some col ->
-        Some (Src_halo (Array.sub col ((slot * sim.zfull) + cfg.z_base) cfg.c_nz))
+    | Some col -> Src_halo (col, (halo_slot inp * sim.zfull) + cfg.z_base)
     | None -> fail "no boundary column for (%d,%d)" sx sy
-  end
 
 (** Check whether all senders this PE depends on have registered. *)
 let exchange_ready (sim : t) (pe : pe) (w : waiting) : bool =
-  List.for_all
-    (fun (i, inp) ->
-      List.for_all
-        (fun (sw : Dmp.swap_desc) ->
-          let vx, vy = dir_vector sw.dir in
-          List.for_all
-            (fun d ->
-              source_column sim pe w.w_cfg w.w_seq ~input:i ~dx:(vx * d) ~dy:(vy * d)
-              <> None)
-            (List.init sw.depth (fun k -> k + 1)))
-        inp.swaps)
-    (List.mapi (fun i inp -> (i, inp)) w.w_cfg.inputs)
+  Array.for_all (source_present sim pe w.w_cfg w.w_seq) w.w_cfg.src_offsets
 
 (** Deliver all chunks and run the callbacks; assumes {!exchange_ready}. *)
 let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
@@ -978,9 +1069,11 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
             let vx, vy = dir_vector sw.dir in
             let rcv = buffer_of pe (List.assoc sw.dir inp.rcv_bufs) in
             for d = 1 to sw.depth do
-              (* write [col] into this source's slot of the receive
-                 buffer, as damaged (or lost) by the link's outcome *)
-              let deliver (col : float array) (outcome : delivery) : unit =
+              (* write [col]'s chunk, which starts at [src], into this
+                 source's slot of the receive buffer, as damaged (or
+                 lost) by the link's outcome *)
+              let deliver (col : float array) (src : int) (outcome : delivery) :
+                  unit =
                 if promoted then begin
                   let c =
                     match
@@ -996,11 +1089,11 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                   | Lost -> () (* the missing contribution reads as zero *)
                   | Clean ->
                       for z = 0 to cs - 1 do
-                        rcv.(z) <- rcv.(z) +. (c *. col.(off + z))
+                        rcv.(z) <- rcv.(z) +. (c *. col.(src + z))
                       done
                   | Damaged (idx, noise) ->
                       for z = 0 to cs - 1 do
-                        let v = col.(off + z) in
+                        let v = col.(src + z) in
                         let v = if z = idx then v +. noise else v in
                         rcv.(z) <- rcv.(z) +. (c *. v)
                       done
@@ -1008,19 +1101,18 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                 else
                   match outcome with
                   | Lost -> Array.fill rcv ((d - 1) * cs) cs 0.0
-                  | Clean -> Array.blit col off rcv ((d - 1) * cs) cs
+                  | Clean -> Array.blit col src rcv ((d - 1) * cs) cs
                   | Damaged (idx, noise) ->
-                      Array.blit col off rcv ((d - 1) * cs) cs;
+                      Array.blit col src rcv ((d - 1) * cs) cs;
                       rcv.(((d - 1) * cs) + idx) <-
                         rcv.(((d - 1) * cs) + idx) +. noise
               in
-              match
-                source_column sim pe cfg w.w_seq ~input:i ~dx:(vx * d) ~dy:(vy * d)
-              with
-              | Some (Src_halo col) ->
+              match source_column sim pe cfg w.w_seq inp ~dx:(vx * d) ~dy:(vy * d) with
+              | Src_halo (col, base) ->
                   (* host links are outside the fault model *)
-                  deliver col Clean
-              | Some (Src_fabric (col, r)) ->
+                  deliver col (base + off) Clean
+              | Src_fabric sr ->
+                  let col = sr.sr_data.(i) and r = sr.sr_chunk_ready in
                   let sx = pe.px + (vx * d) and sy = pe.py + (vy * d) in
                   let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
                   let at, outcome =
@@ -1037,8 +1129,8 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                     && Faults.is_tainted_send sim.faults ~apply:cfg.apply_id
                          ~seq:w.w_seq ~x:sx ~y:sy
                   then Faults.taint sim.faults ~x:pe.px ~y:pe.py;
-                  deliver col outcome
-              | Some Src_skipped ->
+                  deliver col off outcome
+              | Src_skipped ->
                   (* sender halted: the receiver waited out the halt
                      timeout, substitutes zeroes and marks itself *)
                   (match (Faults.config sim.faults).resilience with
@@ -1048,8 +1140,7 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                           (w.w_registered_at +. r.Faults.halt_timeout_cycles)
                   | None -> ());
                   Faults.taint sim.faults ~x:pe.px ~y:pe.py;
-                  deliver [||] Lost
-              | None -> fail "complete_exchange: sender disappeared"
+                  deliver [||] 0 Lost
             done)
           inp.swaps)
       cfg.inputs;
@@ -1093,6 +1184,12 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
     ignore (exec_func sim pe cfg.chunk_cb [ Cint off ]);
     trace_span sim pe ~cat:"compute" ~name:cfg.chunk_cb cb_start pe.clock
   done;
+  (* every chunk of every source is in: this receiver is done with them *)
+  Array.iter
+    (fun (dx, dy) ->
+      let sx = pe.px + dx and sy = pe.py + dy in
+      if in_grid sim sx sy then release_send sim (cfg.apply_id, w.w_seq, sx, sy))
+    cfg.src_offsets;
   (* done callback: one final task activation *)
   pe.stats.task_activations <- pe.stats.task_activations + 1;
   pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
@@ -1222,27 +1319,13 @@ let launch (sim : t) : unit = launch_cols sim 0 (sim.width - 1)
 
 (** In-grid senders of [w] that have not registered their send yet. *)
 let missing_senders (sim : t) (pe : pe) (w : waiting) : (int * int) list =
-  let missing = ref [] in
-  List.iter
-    (fun inp ->
-      List.iter
-        (fun (sw : Dmp.swap_desc) ->
-          let vx, vy = dir_vector sw.dir in
-          for d = 1 to sw.depth do
-            let sx = pe.px + (vx * d) and sy = pe.py + (vy * d) in
-            if
-              in_grid sim sx sy
-              && (not (Hashtbl.mem sim.sends (w.w_cfg.apply_id, w.w_seq, sx, sy)))
-              && (not
-                    (Faults.enabled sim.faults
-                    && Faults.is_skipped sim.faults ~apply:w.w_cfg.apply_id
-                         ~seq:w.w_seq ~x:sx ~y:sy))
-              && not (List.mem (sx, sy) !missing)
-            then missing := (sx, sy) :: !missing
-          done)
-        inp.swaps)
-    w.w_cfg.inputs;
-  List.rev !missing
+  Array.fold_right
+    (fun ((dx, dy) as o) acc ->
+      let sx = pe.px + dx and sy = pe.py + dy in
+      if in_grid sim sx sy && not (source_present sim pe w.w_cfg w.w_seq o) then
+        (sx, sy) :: acc
+      else acc)
+    w.w_cfg.src_offsets []
 
 (** Quiescence sweep; probes finished flags until the first unfinished
     PE, counting each probe — the polling driver pays this sweep every
@@ -1620,6 +1703,8 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
             {
               sim with
               sends = Hashtbl.create 1024;
+              x_lo = x0;
+              x_hi = x1;
               sched = Sched.create ~width:sim.width ~height:sim.height;
               trace =
                 (if Trace.enabled sim.trace then Trace.collector ()
@@ -1672,10 +1757,11 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
        instead of each strip separately enjoying the full allowance *)
     let budget = Atomic.make (max_rounds * sim.width * sim.height) in
     (* take the strip's inbox in one lock exchange and batch it into its
-       send table.  Delivery is exactly-once by construction (a sender
-       posts a record to each reachable strip exactly once, and the
-       left/right sweeps cover disjoint strips), so there is no
-       per-entry membership probe.  Returns whether any parked PE woke. *)
+       send table, each record with the strip's own reader count.
+       Delivery is exactly-once by construction (a sender posts a record
+       to each reachable strip exactly once, and the left/right sweeps
+       cover disjoint strips), so there is no per-entry membership
+       probe.  Returns whether any parked PE woke. *)
     let drain_inbox (tl : tile) : bool =
       Mutex.lock tl.t_inbox_lock;
       let batch = tl.t_inbox in
@@ -1684,7 +1770,7 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
       let woke = ref false in
       List.iter
         (fun (k, r) ->
-          Hashtbl.replace tl.t_sim.sends k r;
+          store_send tl.t_sim k r;
           if Sched.notify tl.t_sim.sched k <> [] then woke := true)
         batch;
       !woke
@@ -1802,8 +1888,10 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
       if pending () then rounds ()
     in
     (* global diagnostics (all_done / degrade / deadlock_report) run on
-       the caller's view, which needs every strip's sends *)
+       the caller's view, which needs every strip's unconsumed sends: a
+       record every strip has released is gone from the merge too *)
     let merge_sends () =
+      Hashtbl.reset sim.sends;
       Array.iter
         (fun tl ->
           Hashtbl.iter (fun k r -> Hashtbl.replace sim.sends k r) tl.t_sim.sends)
@@ -1843,7 +1931,9 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
         mst.Sched.wakeups <- mst.Sched.wakeups + st.Sched.wakeups;
         mst.Sched.parks <- mst.Sched.parks + st.Sched.parks;
         if st.Sched.max_queue_depth > mst.Sched.max_queue_depth then
-          mst.Sched.max_queue_depth <- st.Sched.max_queue_depth)
+          mst.Sched.max_queue_depth <- st.Sched.max_queue_depth;
+        if st.Sched.max_live_sends > mst.Sched.max_live_sends then
+          mst.Sched.max_live_sends <- st.Sched.max_live_sends)
       tiles
   end
 

@@ -21,6 +21,9 @@ type comm_cfg = {
   chunk_size : int;
   chunk_cb : string;
   done_cb : string;
+  src_offsets : (int * int) array;
+      (** distinct (dx, dy) from a receiver to each sender it reads:
+          its readiness test and the reader count of its sends *)
 }
 
 type pe_stats = {
@@ -63,6 +66,10 @@ module Sched : sig
     mutable wakeups : int;  (** parked PEs re-enqueued by a landing send *)
     mutable parks : int;  (** times a PE was parked on a wake list *)
     mutable max_queue_depth : int;  (** ready-queue high-water mark *)
+    mutable max_live_sends : int;
+        (** high-water mark of send records held at once; the parallel
+            driver reports its largest strip, so the count is only
+            comparable between runs of the same driver *)
   }
 
   type t
@@ -99,6 +106,12 @@ type t = {
   funcs : (string, Wsc_ir.Ir.op) Hashtbl.t;
   tasks : (string, Wsc_ir.Ir.op) Hashtbl.t;
   sends : (int * int * int * int, send_record) Hashtbl.t;
+      (** (apply, seq, x, y) -> snapshot, held until every receiver in
+          columns [x_lo..x_hi] has consumed it *)
+  x_lo : int;
+  x_hi : int;
+      (** columns whose receivers read [sends]: the whole grid, or one
+          strip of the parallel driver *)
   halo : (int * int, float array) Hashtbl.t;
       (** host-resident Dirichlet boundary columns *)
   z_halo : int;

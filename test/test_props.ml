@@ -315,9 +315,144 @@ let prop_bufview_inplace_accumulate =
       let acc = Array.copy a in
       let va = Bufview.of_array acc and vb = Bufview.of_array b in
       (* dst aliases an operand, as the accumulator reuse relies on *)
-      Bufview.map2_into ( +. ) va vb va;
+      Bufview.arith_into Add va vb va;
       Array.for_all2 (fun x (p, q) -> x = p +. q) acc
         (Array.map2 (fun p q -> (p, q)) a b))
+
+(* Every kernel is checked against a naive get/set loop over a copy of
+   the same backing arrays: views with random off/len/stride over two
+   shared arrays, so operands overlap the destination, and with [alias]
+   the first operand is the destination itself, as in the generated
+   [@fmacs(dsd15, dsd15, ...)].  Comparison is on IEEE bits. *)
+
+let backing = 32
+
+type vspec = { arr : int; voff : int; vstride : int }
+
+let vspec_gen n =
+  QCheck.Gen.(
+    let* arr = int_bound 1 in
+    let* vstride = int_range 1 3 in
+    let* voff = int_bound (backing - 1 - (max 0 (n - 1) * vstride)) in
+    return { arr; voff; vstride })
+
+type operands = Buf_buf | Buf_scalar | Scalar_buf
+
+type kcase = {
+  n : int;
+  va : vspec;
+  vb : vspec;
+  vd : vspec;
+  alias : bool;
+  shape : operands;
+  op : Bufview.op;
+  k : float;
+  arrs : float array array;
+}
+
+let kcase_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 10 in
+    let* va = vspec_gen n and* vb = vspec_gen n and* vd = vspec_gen n in
+    let* alias = bool in
+    let* shape = oneofl [ Buf_buf; Buf_scalar; Scalar_buf ] in
+    let* op = oneofl Bufview.[ Add; Sub; Mul; Div ] in
+    let* k = float_range (-4.0) 4.0 in
+    let* a0 = arr_gen backing and* a1 = arr_gen backing in
+    return { n; va; vb; vd; alias; shape; op; k; arrs = [| a0; a1 |] })
+
+let kcase_arb =
+  QCheck.make
+    ~print:(fun c ->
+      let v s = Printf.sprintf "arr%d+%d x%d" s.arr s.voff s.vstride in
+      Printf.sprintf "n=%d a=%s b=%s dst=%s alias=%b k=%g" c.n (v c.va) (v c.vb)
+        (v c.vd) c.alias c.k)
+    kcase_gen
+
+(* the views of [c] over [arrs] (a copy of the case's arrays) *)
+let views c (arrs : float array array) =
+  let view s = Bufview.make arrs.(s.arr) ~off:s.voff ~len:c.n ~stride:s.vstride () in
+  let d = view c.vd in
+  ((if c.alias then d else view c.va), view c.vb, d)
+
+let same_bits (x : float array array) (y : float array array) =
+  Array.for_all2
+    (Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)))
+    x y
+
+(* run [kernel] and [naive] on separate copies of the case's arrays *)
+let agrees c kernel naive =
+  let k_arrs = Array.map Array.copy c.arrs and n_arrs = Array.map Array.copy c.arrs in
+  let ka, kb, kd = views c k_arrs and na, nb, nd = views c n_arrs in
+  kernel ka kb kd;
+  naive na nb nd;
+  same_bits k_arrs n_arrs
+
+let op_fn : Bufview.op -> float -> float -> float = function
+  | Add -> ( +. )
+  | Sub -> ( -. )
+  | Mul -> ( *. )
+  | Div -> ( /. )
+
+let naive_loop (d : Bufview.t) f =
+  for i = 0 to d.Bufview.len - 1 do
+    Bufview.set d i (f i)
+  done
+
+let prop_kernels_match_naive =
+  QCheck.Test.make ~name:"kernels match a naive get/set loop" ~count:500 kcase_arb
+    (fun c ->
+      let f = op_fn c.op in
+      let splat v = Bufview.splat c.k ~len:v.Bufview.len in
+      agrees c
+        (fun a b d ->
+          match c.shape with
+          | Buf_buf -> Bufview.arith_into c.op a b d
+          | Buf_scalar -> Bufview.arith_into c.op a (splat a) d
+          | Scalar_buf -> Bufview.arith_into c.op (splat b) b d)
+        (fun a b d ->
+          naive_loop d (fun i ->
+              match c.shape with
+              | Buf_buf -> f (Bufview.get a i) (Bufview.get b i)
+              | Buf_scalar -> f (Bufview.get a i) c.k
+              | Scalar_buf -> f c.k (Bufview.get b i)))
+      && agrees c
+           (fun a b d -> Bufview.fmac_into a b c.k d)
+           (fun a b d ->
+             naive_loop d (fun i -> Bufview.get a i +. (Bufview.get b i *. c.k)))
+      && agrees c
+           (fun a _ d -> Bufview.blit ~src:a ~dst:d)
+           (fun a _ d -> naive_loop d (Bufview.get a))
+      && agrees c (fun _ _ d -> Bufview.fill d c.k) (fun _ _ d -> naive_loop d (fun _ -> c.k))
+      &&
+      let a, _, _ = views c c.arrs in
+      Bufview.to_array a = Array.init c.n (Bufview.get a))
+
+let raises f = match f () with exception Invalid_argument _ -> true | () -> false
+
+let prop_kernels_reject_bad_views =
+  QCheck.Test.make ~name:"length mismatch and out-of-range views raise" ~count:200
+    kcase_arb (fun c ->
+      let c = { c with n = max 1 c.n } in
+      let a, b, d = views c (Array.map Array.copy c.arrs) in
+      let short = { d with Bufview.len = d.Bufview.len - 1 } in
+      (* a view moved past its backing array by record update, as
+         increment_dsd_offset builds them, skipping make's range check *)
+      let gone = { a with Bufview.off = a.Bufview.off + backing } in
+      List.for_all raises
+        [
+          (fun () -> Bufview.arith_into c.op a b short);
+          (fun () -> Bufview.arith_into c.op short b d);
+          (fun () -> Bufview.fmac_into a b c.k short);
+          (fun () -> Bufview.blit ~src:a ~dst:short);
+          (fun () -> Bufview.arith_into c.op gone b d);
+          (fun () -> Bufview.arith_into c.op a b gone);
+          (fun () -> Bufview.fmac_into a gone c.k d);
+          (fun () -> Bufview.fmac_into a b c.k gone);
+          (fun () -> Bufview.blit ~src:gone ~dst:d);
+          (fun () -> Bufview.fill gone c.k);
+          (fun () -> ignore (Bufview.to_array gone));
+        ])
 
 let prop_bufview_strided =
   QCheck.Test.make ~name:"strided views" ~count:100 QCheck.(int_range 1 3)
@@ -367,5 +502,7 @@ let () =
             prop_bufview_inplace_accumulate;
             prop_bufview_strided;
             prop_bufview_bounds_checked;
+            prop_kernels_match_naive;
+            prop_kernels_reject_bad_views;
           ] );
     ]

@@ -471,6 +471,66 @@ let test_task_order_earliest_first () =
   check "empty queue pops nothing" true (not (Fabric.run_tasks sim pe))
 
 (* ------------------------------------------------------------------ *)
+(* retained state                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* a finished run keeps its live heap bounded by the grid, not by grid x
+   iterations: every send snapshot leaves the send table once all of its
+   receivers have consumed it.  Live words are measured after a full
+   collection with the host handle still reachable, so a table that kept
+   one snapshot per PE per exchange would grow fourfold between N and 4N
+   steps. *)
+let bounded_heap_drivers = [ Fabric.Polling; Fabric.Event_driven; Fabric.Parallel 2 ]
+
+let retained (driver : Fabric.driver) (p : P.t) =
+  let compiled = Core.Pipeline.compile (P.compile p) in
+  let h = Host.simulate ~driver Machine.wse3 compiled (init_grids p) in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  let sends = Hashtbl.length h.Host.sim.Fabric.sends in
+  let high_water = (Fabric.sched_stats h.Host.sim).Fabric.Sched.max_live_sends in
+  ignore (Sys.opaque_identity h);
+  (live, sends, high_water)
+
+let test_bounded_heap () =
+  let steps = 8 and w = 8 and h = 8 in
+  List.iter
+    (fun id ->
+      let d = B.find id in
+      List.iter
+        (fun driver ->
+          let name = Printf.sprintf "%s [%s]" id (driver_label driver) in
+          let live1, sends1, _ = retained driver (d.make_n (B.Proxy (w, h)) steps) in
+          let live4, sends4, _ =
+            retained driver (d.make_n (B.Proxy (w, h)) (4 * steps))
+          in
+          if Float.abs (float_of_int (live4 - live1)) > 0.10 *. float_of_int live1
+          then
+            Alcotest.failf "%s: live heap %d words after %d steps, %d after %d"
+              name live1 steps live4 (4 * steps);
+          if sends1 > w * h || sends4 > w * h then
+            Alcotest.failf "%s: %d / %d send records retained on %d PEs" name
+              sends1 sends4 (w * h))
+        bounded_heap_drivers)
+    [ "jacobian"; "seismic" ]
+
+(* the scheduler's high-water mark of live send records: positive, at
+   least what a finished run still holds, and a few generations of the
+   grid rather than one record per PE per exchange (which is what a
+   table without eviction reaches: 32 steps x 64 PEs x every apply) *)
+let test_live_sends_counter () =
+  let w = 8 and h = 8 in
+  let p = (B.find "jacobian").make_n (B.Proxy (w, h)) 32 in
+  List.iter
+    (fun driver ->
+      let name = driver_label driver in
+      let _, sends, high_water = retained driver p in
+      if high_water <= 0 || high_water < sends || high_water > 4 * w * h then
+        Alcotest.failf "%s: max_live_sends %d (%d retained, %d PEs)" name
+          high_water sends (w * h))
+    bounded_heap_drivers
+
+(* ------------------------------------------------------------------ *)
 (* custom initial data (host interface)                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -528,6 +588,11 @@ let () =
              test_task_order_earliest_first
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_drivers_agree_on_fuzzed; prop_budget_trips_identically ] );
+      ( "retention",
+        [
+          Alcotest.test_case "bounded heap" `Quick test_bounded_heap;
+          Alcotest.test_case "live sends counter" `Quick test_live_sends_counter;
+        ] );
       ( "host",
         [ Alcotest.test_case "custom initial data" `Quick test_custom_initial_data ] );
     ]
