@@ -821,14 +821,13 @@ let json_summary (path : string) : unit =
     mismatch).  Scaling: the strong/weak figures of an N-wafer WSE3
     against the Tursa-A100 and ARCHER2 cluster models, per-wafer
     compute from the simulator-measured steady-state cycles per
-    iteration.  Wall-clock ratios follow the PR 6 honesty rules: cores
-    ride along on every row, and a leg running more worker domains
-    than cores is flagged oversubscribed — its ratio is recorded but
-    carries no verdict. *)
+    iteration.  Wafers are co-simulated in turn on one domain, so the
+    wall columns compare sequential work; the core count is recorded
+    in the config. *)
 let multiwafer () =
   header
     "Multi-wafer scale-out: decompose, compile per slice through the\n\
-     shared engine cache, co-simulate one domain per wafer; drained\n\
+     shared engine cache, co-simulate the wafers in turn; drained\n\
      fields must be bit-identical to the single-wafer simulation";
   let module J = Wsc_trace.Json in
   let module MW = Wsc_multiwafer.Cosim in
@@ -839,17 +838,12 @@ let multiwafer () =
   let mismatches = ref 0 in
   let rows = ref [] in
   Printf.printf "%d core(s) available (Domain.recommended_domain_count)\n" cores;
-  if cores < 2 then
-    Printf.printf
-      "WARNING: single-core host — every multi-wafer leg below is\n\
-       oversubscribed; wall-clock ratios measure scheduling overhead, not\n\
-       parallel speedup, and their verdicts are skipped\n";
-  Printf.printf "\n%-10s %6s %7s %5s %9s %9s %12s %5s %5s %9s\n" "benchmark"
-    "wafers" "domains" "cores" "wall s" "1-waf s" "device cyc" "hit" "dedup"
-    "identical";
+  Printf.printf "\n%-10s %6s %9s %9s %12s %5s %5s %9s\n" "benchmark"
+    "wafers" "wall s" "1-waf s" "device cyc" "hit" "dedup" "identical";
   (* one engine across every leg: the second wafer grid of a benchmark
      re-submits slice programs the first already compiled, so the cache
-     columns also demonstrate cross-run reuse *)
+     columns also demonstrate cross-run reuse.  Slices compile in
+     sequence, so equal slices show up as plain hits and dedup reads 0 *)
   let engine = Wsc_serve.Engine.create () in
   List.iter
     (fun (d : B.descr) ->
@@ -870,32 +864,18 @@ let multiwafer () =
             incr mismatches;
             Printf.printf "    drained fields differ from the single wafer\n"
           end;
-          let domains = wx * wy in
-          let oversubscribed = domains > cores in
-          let speedup = w0 /. w in
-          Printf.printf "%-10s %6s %7d %5d %9.3f %9.3f %12.0f %5d %5d %9s\n"
-            d.id
+          Printf.printf "%-10s %6s %9.3f %9.3f %12.0f %5d %5d %9s\n" d.id
             (Printf.sprintf "%dx%d" wx wy)
-            domains cores w w0 r.MW.device_cycles hits dedup
+            w w0 r.MW.device_cycles hits dedup
             (if identical then "yes" else "NO");
-          if oversubscribed then
-            Printf.printf
-              "    note: %d domains > %d cores — oversubscribed, wall ratio \
-               (%.2fx) recorded without verdict\n"
-              domains cores speedup;
           rows :=
             J.Obj
               [
                 ("kind", J.String "validation");
                 ("benchmark", J.String d.id);
                 ("wafers", J.String (Printf.sprintf "%dx%d" wx wy));
-                ("domains", J.Int domains);
-                ("cores", J.Int cores);
-                ("oversubscribed", J.Bool oversubscribed);
                 ("wall_s", J.Float w);
                 ("single_wafer_wall_s", J.Float w0);
-                ("speedup", J.Float speedup);
-                ("speedup_meaningful", J.Bool (not oversubscribed));
                 ("epochs", J.Int r.MW.epochs);
                 ("distinct_programs", J.Int r.MW.distinct_programs);
                 ("device_cycles", J.Float r.MW.device_cycles);
@@ -989,8 +969,7 @@ let multiwafer () =
     replayed epochs and device cycles beyond the fault-free
     co-simulation, checkpoint count and bytes.  One loss leg per grid
     demonstrates graceful degradation (dead + tainted wafers reported,
-    no identity claim).  PR 6 honesty rules: cores ride along and
-    oversubscribed legs are flagged. *)
+    no identity claim).  The core count rides along in the config. *)
 let mwfaults () =
   header
     "Wafer-level fault tolerance: inter-wafer fault injection with\n\
@@ -1014,8 +993,6 @@ let mwfaults () =
     (fun (d : B.descr) ->
       List.iter
         (fun (wx, wy) ->
-          let domains = wx * wy in
-          let oversubscribed = domains > cores in
           let report =
             MC.run ~engine ~machine ~bench:d.id ~size:B.Tiny ~wafers:(wx, wy)
               ~kinds:[ Wf.Halo_drop; Wf.Halo_corrupt; Wf.Crash ]
@@ -1059,9 +1036,6 @@ let mwfaults () =
                 [
                   ("benchmark", J.String d.id);
                   ("wafers", J.String (Printf.sprintf "%dx%d" wx wy));
-                  ("domains", J.Int domains);
-                  ("cores", J.Int cores);
-                  ("oversubscribed", J.Bool oversubscribed);
                   ("kind", J.String (Wf.kind_to_string c.MC.kind));
                   ("rate", J.Float c.MC.rate);
                   ("seed", J.Int c.MC.seed);

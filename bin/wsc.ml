@@ -1333,8 +1333,8 @@ let multiwafer_cmd =
   Cmd.v
     (Cmd.info "multiwafer"
        ~doc:
-         "Decompose a benchmark across N simulated wafers, co-simulate one \
-          wafer per domain, and check bit-identity vs a single wafer; with \
+         "Decompose a benchmark across N simulated wafers, co-simulate the \
+          wafers in turn, and check bit-identity vs a single wafer; with \
           $(b,--faults), sweep wafer-level fault campaigns with \
           checkpoint/rollback recovery.")
     Term.(

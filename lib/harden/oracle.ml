@@ -108,16 +108,6 @@ let run_stage ~(last : (string * string) ref) (passes : Pass.t list)
 (* the check                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Freshly initialized state grids (same init as the CLI / tests). *)
-let init_grids (p : P.t) : I.grid list =
-  let ft = P.field_type p in
-  List.map
-    (fun _ ->
-      let g3 = I.grid_of_typ ft in
-      I.init_grid g3;
-      I.retensorize_grid g3)
-    p.P.state
-
 (** Max |difference| across all state grids (the reference grids are 3-D
     scalar, the others 2-D tensor with the identical flattened layout). *)
 let max_diff (refs : I.grid list) (outs : I.grid list) : float =
@@ -229,7 +219,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
           | exception Roundtrip_exn (pass, msg, after) ->
               fail ~ir_before:(snd !last) ~ir_after:after (Roundtrip { pass; msg })
           | m1 -> (
-              let grids = init_grids p in
+              let grids = MW.init_grids p in
               match
                 I.run_func m1 ~name:"main" (List.map (fun g -> I.Rgrid g) grids)
               with
@@ -251,7 +241,7 @@ let check ?(inject_bug = false) ?(multiwafer = true) ?(mwfaults = false)
                           (Roundtrip { pass; msg })
                     | m2 -> (
                         match
-                          let h = Wsc_wse.Host.simulate machine m2 (init_grids p) in
+                          let h = Wsc_wse.Host.simulate machine m2 (MW.init_grids p) in
                           Wsc_wse.Host.read_all h
                         with
                         | exception e ->

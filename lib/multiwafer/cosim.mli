@@ -1,9 +1,9 @@
 (** Multi-wafer co-simulation: run one stencil problem decomposed over
-    a [(wx, wy)] grid of simulated wafers, one OCaml 5 domain per wafer
-    on the persistent serve pool, with per-wafer programs compiled
-    through the content-addressed compile engine (equal slices share
-    one cache entry; concurrent compiles single-flight) and a modeled
-    inter-wafer interconnect charged between BSP epochs.
+    a [(wx, wy)] grid of simulated wafers, stepped one after another on
+    the calling domain, with per-wafer programs compiled through the
+    content-addressed compile engine (equal slices share one cache
+    entry) and a modeled inter-wafer interconnect charged between BSP
+    epochs.
 
     Determinism: halos move through host memory between epochs, the
     global boundary keeps the single-wafer Dirichlet values, and every
@@ -27,9 +27,10 @@ module I = Wsc_dialects.Interp
 
 exception Cosim_error of string
 
-(** Worker domains ever spawned by co-simulations — exactly one per
-    wafer per run; pinned by a regression test (the
-    [Fabric.domains_spawned] / [Pool.domains_spawned] discipline). *)
+(** Worker domains ever spawned by co-simulations: always 0, since
+    every wafer runs on the calling domain.  It stays exported because
+    spawn-count checks (tests, the benchmark's fuzz trace) read it
+    beside the fabric's and the serve pool's counters. *)
 val domains_spawned : unit -> int
 
 (** What recovery did during a faulted run. *)
@@ -75,14 +76,15 @@ val reference :
 
 (** Run the co-simulation.  [engine] defaults to a fresh compile
     engine (pass a shared one to reuse its cache across runs);
-    [driver] is the within-wafer fabric driver (default event-driven —
-    wafers already occupy one domain each).  [faults] defaults to
-    [Faults.Wafer.null]: the fault-free path takes exactly one extra
-    branch per decision point and stays bit-identical.
+    [driver] is the within-wafer fabric driver (default event-driven).
+    [faults] defaults to [Faults.Wafer.null]: the fault-free path takes
+    exactly one extra branch per decision point and stays
+    bit-identical.
     @raise Decompose.Decompose_error when [p] cannot be decomposed
     @raise Cosim_error when a wafer fails to compile, or when a wafer
-    crashes / is lost while the injector's resilience protocol is off
-    (the pool and the engine cache are still cleanly released) *)
+    crashes / is lost while the injector's resilience protocol is off;
+    when several wafers fail in one epoch, the lowest-index one is
+    reported *)
 val run :
   ?engine:Wsc_serve.Engine.t ->
   ?interconnect:Interconnect.t ->

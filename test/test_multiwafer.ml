@@ -3,8 +3,8 @@
    the dmp exchange-volume identity (property-based), the plan-IR
    round trip, bit-identity of the co-simulation against the
    single-wafer fabric on representative benchmarks, slice-shape dedup
-   through the shared compile-engine cache, and the one-domain-per-
-   wafer spawn discipline. *)
+   through the shared compile-engine cache, and co-simulation on the
+   calling domain (no domain spawned). *)
 
 open Wsc_ir.Ir
 module B = Wsc_benchmarks.Benchmarks
@@ -191,13 +191,34 @@ let test_cosim_cache_dedup () =
   checki "warm re-run misses" 0 (s2.Cache.misses - s1.Cache.misses);
   checki "warm re-run hits" 4 (s2.Cache.hits - s1.Cache.hits)
 
-let test_one_domain_per_wafer () =
-  let before = MW.domains_spawned () in
+(* every wafer runs on the calling domain: neither the co-simulation
+   nor the serve pool spawns a domain, fault-free or while rolling back
+   and respawning crashed wafers *)
+let test_no_domain_spawned () =
+  let spawned () = (MW.domains_spawned (), Wsc_serve.Pool.domains_spawned ()) in
+  let before = spawned () in
+  let unchanged what =
+    Alcotest.(check (pair int int)) what before (spawned ())
+  in
   let d = B.find "jacobian" in
-  ignore (MW.run ~engine:(Lazy.force engine) ~wafers:(2, 1) (d.B.make B.Tiny));
-  checki "2x1 spawns two domains" (before + 2) (MW.domains_spawned ());
-  ignore (MW.run ~engine:(Lazy.force engine) ~wafers:(2, 2) (d.B.make B.Tiny));
-  checki "2x2 spawns four more" (before + 6) (MW.domains_spawned ())
+  let p = d.B.make B.Tiny in
+  ignore (MW.run ~engine:(Lazy.force engine) ~wafers:(2, 1) p);
+  unchanged "2x1 spawns no domain";
+  ignore (MW.run ~engine:(Lazy.force engine) ~wafers:(2, 2) p);
+  unchanged "2x2 spawns no domain";
+  let faults =
+    Wsc_faults.Faults.Wafer.(
+      create (config_for Crash ~rate:0.25 ~seed:1 ~resilient:true))
+  in
+  let r =
+    MW.run ~engine:(Wsc_serve.Engine.create ()) ~faults ~wafers:(2, 1) p
+  in
+  (match r.MW.recovery with
+  | Some rc ->
+      check "crashes rolled back" true (rc.MW.rollbacks > 0);
+      check "crashed wafers respawned" true (rc.MW.respawns > 0)
+  | None -> Alcotest.fail "faulted run has no recovery report");
+  unchanged "2x1 rollback and respawn spawn no domain"
 
 (* ------------------------------------------------------------------ *)
 (* wafer-level resilience                                               *)
@@ -381,8 +402,8 @@ let () =
             test_bit_identity_seismic;
           Alcotest.test_case "equal slices share one cache entry" `Quick
             test_cosim_cache_dedup;
-          Alcotest.test_case "one domain per wafer" `Quick
-            test_one_domain_per_wafer;
+          Alcotest.test_case "co-simulation spawns no domain" `Quick
+            test_no_domain_spawned;
         ] );
       ( "resilience",
         [
