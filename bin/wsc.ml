@@ -219,9 +219,10 @@ let time_arg =
     value & flag
     & info [ "time" ]
         ~doc:
-          "Also report the simulator's own wall-clock time (seconds), the \
-           driver and the domain count — the host-side cost of the run, as \
-           opposed to the simulated cycles.")
+          "Also report the simulator's own wall-clock time (seconds), split \
+           into load (grid setup and program staging), run and readback, \
+           with the driver and the domain count — the host-side cost of the \
+           run, as opposed to the simulated cycles.")
 
 let sim_json_arg =
   Arg.(
@@ -229,8 +230,9 @@ let sim_json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Write a machine-readable run summary (simulated cycles, wall_s, \
-           driver, domains, reference divergence).")
+          "Write a machine-readable run summary (simulated cycles, wall_s \
+           and its load_s/run_s/read_s split, driver, domains, reference \
+           divergence).")
 
 let simulate_cmd =
   let run bench input size iterations machine stats driver_kind domains time
@@ -244,10 +246,17 @@ let simulate_cmd =
         let init = init_grids_of p in
         (* simulate first: the fabric guards (grid size, per-PE memory)
            reject oversized runs before the expensive reference pass *)
-        let t0 = Unix.gettimeofday () in
-        let h = Wsc_wse.Host.simulate ~driver machine compiled init in
-        let wall_s = Unix.gettimeofday () -. t0 in
-        let out = Wsc_wse.Host.read_all h in
+        let timed f =
+          let t0 = Unix.gettimeofday () in
+          let r = f () in
+          (r, Unix.gettimeofday () -. t0)
+        in
+        let _, program = Wsc_core.Pipeline.modules_of compiled in
+        (* load includes staging the program's functions and tasks *)
+        let h, load_s = timed (fun () -> Wsc_wse.Host.load machine program init) in
+        let (), run_s = timed (fun () -> Wsc_wse.Host.run ~driver h) in
+        let out, read_s = timed (fun () -> Wsc_wse.Host.read_all h) in
+        let wall_s = load_s +. run_s +. read_s in
         let ref_grids = P.run_reference p in
         let maxd =
           List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out)
@@ -260,8 +269,10 @@ let simulate_cmd =
         Printf.printf "  flops=%.3e  sent=%d elems  tasks=%d\n" st.flops
           st.elems_sent st.task_activations;
         if time then
-          Printf.printf "  wall %.3f s  (driver=%s domains=%d requested=%d)\n"
-            wall_s (F.driver_name driver)
+          Printf.printf
+            "  wall %.3f s = load %.3f + run %.3f + read %.3f  (driver=%s \
+             domains=%d requested=%d)\n"
+            wall_s load_s run_s read_s (F.driver_name driver)
             (F.effective_domains driver ~width:h.sim.width)
             (F.driver_domains driver);
         if stats then begin
@@ -297,6 +308,9 @@ let simulate_cmd =
                          ("cycles", J.Float (F.elapsed_cycles h.sim));
                          ("seconds", J.Float (F.elapsed_seconds h.sim));
                          ("wall_s", J.Float wall_s);
+                         ("load_s", J.Float load_s);
+                         ("run_s", J.Float run_s);
+                         ("read_s", J.Float read_s);
                          ("driver", J.String (F.driver_name driver));
                          (* effective worker count after clamping, not
                             the request: --domains 0 expands to the

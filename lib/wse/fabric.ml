@@ -30,27 +30,55 @@ exception Sim_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
-(** {1 Communicate-call configuration (parsed from the config attr)} *)
+(** {1 Communicate plans}
 
-type input_cfg = {
-  send_ptr : string;
-  swaps : Dmp.swap_desc list;
-  rcv_bufs : (Dmp.direction * string) list;
+    A [communicate] call's config attribute, decoded once when the
+    program is staged (see {!stage}): every buffer and pointer it names
+    is a per-PE slot, the callbacks are indices into the staged
+    functions, and each (input, swap, hop) carries its receive buffer,
+    sender and promoted coefficient, so delivering a chunk touches no
+    string, list or hash table. *)
+
+type swap_plan = {
+  sw_dir : Dmp.direction;
+  sw_rcv : int;  (** receive buffer (global slot) *)
+  sw_src : int array;
+      (** per hop [d - 1]: the sender's index in the exchange's
+          [src_offsets] *)
+  sw_coef : float array;
+      (** per hop [d - 1]: the promoted coefficient applied at delivery
+          (0 when the config lists none for this input and offset) *)
 }
 
-type comm_cfg = {
+type input_plan = {
+  in_ptr : int;  (** pointer slot of the sent buffer *)
+  in_halo : int;
+      (** state slot whose boundary columns stand in for off-grid
+          senders: the Dirichlet halo is that grid's initial value *)
+  in_swaps : swap_plan array;
+}
+
+type comm = {
   apply_id : int;
-  inputs : input_cfg list;
-  coeffs : (int * int * int * float) list;
+  seq_slot : int;  (** index of [apply_id] in every PE's [seq] counters *)
+  inputs : input_plan array;
   z_base : int;
   c_nz : int;
   num_chunks : int;
   chunk_size : int;
-  chunk_cb : string;
-  done_cb : string;
+  chunk_cb : int;  (** index of the chunk callback among the staged functions *)
+  done_cb : int;
   src_offsets : (int * int) array;
       (** distinct (dx, dy) from the receiver to each sender it reads, in
           first-encounter order over inputs, swaps and depth *)
+  promoted : bool;  (** coefficients are applied while draining (§5.7) *)
+  staging : int array;
+      (** the distinct promoted staging buffers (global slots), cleared
+          once per chunk; empty without promotion *)
+  incoming : int;  (** wavelets received per chunk *)
+  drain : float;  (** queue-drain cycles per chunk *)
+  chunk_cost : float;  (** injection cycles of one chunk in every direction *)
+  send_elems : int;  (** elements injected per exchange *)
 }
 
 let dir_vector = function
@@ -58,93 +86,6 @@ let dir_vector = function
   | Dmp.West -> (-1, 0)
   | Dmp.North -> (0, 1)
   | Dmp.South -> (0, -1)
-
-let source_offsets (inputs : input_cfg list) : (int * int) array =
-  let acc = ref [] in
-  List.iter
-    (fun inp ->
-      List.iter
-        (fun (sw : Dmp.swap_desc) ->
-          let vx, vy = dir_vector sw.dir in
-          for d = 1 to sw.depth do
-            if not (List.mem (vx * d, vy * d) !acc) then acc := (vx * d, vy * d) :: !acc
-          done)
-        inp.swaps)
-    inputs;
-  Array.of_list (List.rev !acc)
-
-let parse_comm_cfg (a : attr) : comm_cfg =
-  let dict = match a with Dict_attr d -> d | _ -> fail "communicate: bad config" in
-  let geti k =
-    match List.assoc_opt k dict with Some (Int_attr i) -> i | _ -> fail "cfg int %s" k
-  in
-  let gets k =
-    match List.assoc_opt k dict with
-    | Some (String_attr s) -> s
-    | _ -> fail "cfg string %s" k
-  in
-  let inputs =
-    match List.assoc_opt "inputs" dict with
-    | Some (Array_attr l) ->
-        List.map
-          (function
-            | Dict_attr d ->
-                let send_ptr =
-                  match List.assoc_opt "send_ptr" d with
-                  | Some (String_attr s) -> s
-                  | _ -> fail "cfg send_ptr"
-                in
-                let swaps =
-                  match List.assoc_opt "swaps" d with
-                  | Some a -> Dmp.swaps_of_attr a
-                  | None -> fail "cfg swaps"
-                in
-                let rcv_bufs =
-                  match List.assoc_opt "rcv_bufs" d with
-                  | Some (Array_attr bl) ->
-                      List.map2
-                        (fun (sw : Dmp.swap_desc) b ->
-                          match b with
-                          | String_attr s -> (sw.dir, s)
-                          | _ -> fail "cfg rcv buf")
-                        swaps bl
-                  | _ -> fail "cfg rcv_bufs"
-                in
-                { send_ptr; swaps; rcv_bufs }
-            | _ -> fail "cfg input")
-          l
-    | _ -> fail "cfg inputs"
-  in
-  let coeffs =
-    match List.assoc_opt "coeffs" dict with
-    | Some (Array_attr l) ->
-        List.map
-          (function
-            | Dict_attr d ->
-                let gi k = match List.assoc_opt k d with Some (Int_attr i) -> i | _ -> 0 in
-                let gf k =
-                  match List.assoc_opt k d with
-                  | Some (Float_attr f) -> f
-                  | Some (Int_attr i) -> float_of_int i
-                  | _ -> 0.0
-                in
-                (gi "i", gi "dx", gi "dy", gf "c")
-            | _ -> fail "cfg coeff")
-          l
-    | _ -> []
-  in
-  {
-    apply_id = geti "apply_id";
-    inputs;
-    coeffs;
-    z_base = geti "z_base";
-    c_nz = geti "nz";
-    num_chunks = geti "num_chunks";
-    chunk_size = geti "chunk_size";
-    chunk_cb = gets "chunk_cb";
-    done_cb = gets "done_cb";
-    src_offsets = source_offsets inputs;
-  }
 
 (** {1 PE state} *)
 
@@ -203,8 +144,11 @@ type send_record = {
           every table's copy; the {!Faults} taint entry goes at zero *)
 }
 
+(** A value bound in a staged body's SSA environment. *)
+type cell = Cview of Bufview.t | Cint of int | Cfloat of float | Cunset
+
 type waiting = {
-  w_cfg : comm_cfg;
+  w_cfg : comm;
   w_seq : int;
   w_registered_at : float;
 }
@@ -212,16 +156,30 @@ type waiting = {
 type pe = {
   px : int;
   py : int;
-  globals : (string, float array) Hashtbl.t;
-  scalars : (string, int ref) Hashtbl.t;
-  ptrs : (string, string ref) Hashtbl.t;
+  globals : float array array;  (** buffers, by global slot *)
+  scalars : int array;  (** by scalar slot *)
+  ptrs : int array;  (** pointer slot -> the global slot it targets *)
   mutable clock : float;
   mutable finished : bool;
-  mutable task_queue : (float * string) list;  (** activation time, task name *)
+  mutable task_queue : (float * fn) list;  (** activation time, task *)
   mutable waiting : waiting option;
-  mutable seq : (int, int) Hashtbl.t;  (** apply_id -> communicate count *)
+  seq : int array;  (** communicate count per exchange ([comm.seq_slot]) *)
+  mutable pending : comm list;
+      (** communicate calls issued by the running activation, newest
+          first; started by whoever dispatched it *)
   stats : pe_stats;
 }
+
+(** A staged [csl.func] or [csl.task]. *)
+and fn = {
+  fn_name : string;
+  fn_args : int;  (** block arguments, bound to the first slots *)
+  fn_slots : int;  (** SSA values of the body, nested regions included *)
+  fn_body : instr array;
+}
+
+(** One staged op, run on a PE against its activation's environment. *)
+and instr = pe -> cell array -> unit
 
 (** {1 Scheduler core}
 
@@ -351,16 +309,559 @@ module Sched = struct
         idxs
 end
 
+(** {1 Staged program}
+
+    {!create} stages the program module once.  Every [csl.func] and
+    [csl.task] body becomes an array of closures: opnames, attributes
+    and [communicate] configs are decoded at staging time, SSA values
+    are slots of a per-activation [cell array], and globals, scalars and
+    pointers are slots of per-PE arrays.  An unsupported op, an unknown
+    name or a malformed config is a {!Sim_error} from {!create}, naming
+    the op and its enclosing function or task.  The staged code is
+    immutable and shared by every PE and every domain of the parallel
+    driver; each closure charges the PE exactly the cycles and
+    statistics the op costs. *)
+
+type code = {
+  fns : fn array;  (** every function and task, by index *)
+  fn_index : (string, int) Hashtbl.t;
+  run : int;  (** the host's entry point *)
+  global_index : (string, int) Hashtbl.t;
+  global_sizes : int array;
+  scalar_index : (string, int) Hashtbl.t;
+  scalar_init : int array;
+  ptr_index : (string, int) Hashtbl.t;
+  ptr_init : int array;  (** the global slot each pointer starts at *)
+  n_seq : int;  (** distinct exchange ids *)
+  reach : int;  (** farthest hop any exchange reaches (at least 1) *)
+}
+
+(** Run [f], turning any decode failure into a {!Sim_error} that says
+    [where]. *)
+let in_context (where : string) (f : unit -> 'a) : 'a =
+  try f () with
+  | Sim_error msg | Invalid_argument msg | Failure msg -> fail "%s: %s" where msg
+  | Not_found -> fail "%s: missing entry" where
+
+let find_slot (kind : string) (tbl : (string, int) Hashtbl.t) (name : string) : int =
+  match Hashtbl.find_opt tbl name with Some s -> s | None -> fail "no %s %s" kind name
+
+(** The slot of [k] in [tbl], appended if new. *)
+let declare (tbl : ('k, int) Hashtbl.t) (k : 'k) : int =
+  match Hashtbl.find_opt tbl k with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.length tbl in
+      Hashtbl.add tbl k s;
+      s
+
+(** The keys of a {!declare} table, by slot. *)
+let by_slot (tbl : ('k, int) Hashtbl.t) (default : 'k) : 'k array =
+  let a = Array.make (Hashtbl.length tbl) default in
+  Hashtbl.iter (fun k s -> a.(s) <- k) tbl;
+  a
+
+let view_of (env : cell array) (s : int) : Bufview.t =
+  match env.(s) with Cview b -> b | _ -> fail "exec: expected DSD/buffer"
+
+let int_of (env : cell array) (s : int) : int =
+  match env.(s) with Cint i -> i | _ -> fail "exec: expected int"
+
+let float_of (env : cell array) (s : int) : float =
+  match env.(s) with
+  | Cfloat f -> f
+  | Cint i -> float_of_int i
+  | _ -> fail "exec: expected float"
+
+let run_body (body : instr array) (pe : pe) (env : cell array) : unit =
+  for i = 0 to Array.length body - 1 do
+    body.(i) pe env
+  done
+
+(** Run [f] on [pe] in a fresh environment; [arg] binds its first block
+    argument, if it has one. *)
+let exec (f : fn) (pe : pe) (arg : cell) : unit =
+  let env = Array.make f.fn_slots Cunset in
+  if f.fn_args > 0 then env.(0) <- arg;
+  run_body f.fn_body pe env
+
+(** Communicate calls [exec] issued, in program order, leaving none. *)
+let take_pending (pe : pe) : comm list =
+  match pe.pending with
+  | [] -> []
+  | l ->
+      pe.pending <- [];
+      List.rev l
+
+(** The state slot [N] of a [ptr_state<N>] send pointer. *)
+let state_slot (p : string) : int =
+  let n = String.length p in
+  match
+    if n > 9 && String.sub p 0 9 = "ptr_state" then
+      int_of_string_opt (String.sub p 9 (n - 9))
+    else None
+  with
+  | Some s when s >= 0 -> s
+  | _ -> fail "send_ptr %s is not a state pointer (ptr_state<N>)" p
+
+(** Decode a [communicate] config attribute into its plan. *)
+let decode_comm (m : Machine.t) ~(ptr : string -> int) ~(global : string -> int)
+    ~(callback : args:int -> string -> int) ~(seq_slot : int -> int) (a : attr) :
+    comm =
+  let dict = match a with Dict_attr d -> d | _ -> fail "config is not a dictionary" in
+  let field d k =
+    match List.assoc_opt k d with Some v -> v | None -> fail "config has no %s" k
+  in
+  let geti k =
+    match field dict k with Int_attr i -> i | _ -> fail "config %s is not an int" k
+  in
+  let gets d k =
+    match field d k with String_attr s -> s | _ -> fail "config %s is not a string" k
+  in
+  let inputs =
+    match field dict "inputs" with
+    | Array_attr l ->
+        List.map
+          (function
+            | Dict_attr d ->
+                let send_ptr = gets d "send_ptr" in
+                let swaps = Dmp.swaps_of_attr (field d "swaps") in
+                let rcv =
+                  match field d "rcv_bufs" with
+                  | Array_attr bl when List.length bl = List.length swaps ->
+                      List.map
+                        (function
+                          | String_attr s -> global s
+                          | _ -> fail "config rcv_bufs entry is not a string")
+                        bl
+                  | Array_attr bl ->
+                      fail "config rcv_bufs has %d entries for %d swaps"
+                        (List.length bl) (List.length swaps)
+                  | _ -> fail "config rcv_bufs is not an array"
+                in
+                (send_ptr, swaps, rcv)
+            | _ -> fail "config input is not a dictionary")
+          l
+    | _ -> fail "config inputs is not an array"
+  in
+  let coeffs =
+    match List.assoc_opt "coeffs" dict with
+    | None -> []
+    | Some (Array_attr l) ->
+        List.map
+          (function
+            | Dict_attr d ->
+                let gi k =
+                  match List.assoc_opt k d with Some (Int_attr i) -> i | _ -> 0
+                in
+                let gf k =
+                  match List.assoc_opt k d with
+                  | Some (Float_attr f) -> f
+                  | Some (Int_attr i) -> float_of_int i
+                  | _ -> 0.0
+                in
+                (gi "i", gi "dx", gi "dy", gf "c")
+            | _ -> fail "config coeff is not a dictionary")
+          l
+    | Some _ -> fail "config coeffs is not an array"
+  in
+  let cs = geti "chunk_size" and num_chunks = geti "num_chunks" in
+  (* senders, by slot in first-encounter order over inputs, swaps and
+     depth *)
+  let senders = Hashtbl.create 8 in
+  let plans =
+    List.mapi
+      (fun i (send_ptr, swaps, rcv) ->
+        let swap (sw : Dmp.swap_desc) g =
+          let vx, vy = dir_vector sw.dir in
+          let coef d =
+            match
+              List.find_opt
+                (fun (ci, cdx, cdy, _) -> ci = i && cdx = vx * d && cdy = vy * d)
+                coeffs
+            with
+            | Some (_, _, _, c) -> c
+            | None -> 0.0
+          in
+          {
+            sw_dir = sw.dir;
+            sw_rcv = g;
+            sw_src =
+              Array.init sw.depth (fun j -> declare senders (vx * (j + 1), vy * (j + 1)));
+            sw_coef = Array.init sw.depth (fun j -> coef (j + 1));
+          }
+        in
+        {
+          in_ptr = ptr send_ptr;
+          in_halo = state_slot send_ptr;
+          in_swaps = Array.of_list (List.map2 swap swaps rcv);
+        })
+      inputs
+  in
+  let promoted = coeffs <> [] in
+  let sum f = List.fold_left (fun acc (_, swaps, _) -> acc + f swaps) 0 inputs in
+  let total_dirs = sum List.length in
+  let incoming =
+    sum (List.fold_left (fun a (sw : Dmp.swap_desc) -> a + (sw.depth * cs)) 0)
+  in
+  (* on the WSE2 the self-send workaround makes the PE drain its own
+     looped-back wavelets as well *)
+  let self_loopback = if m.self_send then total_dirs * cs else 0 in
+  let self_mul = if m.self_send then 2.0 else 1.0 in
+  let apply_id = geti "apply_id" in
+  {
+    apply_id;
+    seq_slot = seq_slot apply_id;
+    inputs = Array.of_list plans;
+    z_base = geti "z_base";
+    c_nz = geti "nz";
+    num_chunks;
+    chunk_size = cs;
+    chunk_cb = callback ~args:1 (gets dict "chunk_cb");
+    done_cb = callback ~args:0 (gets dict "done_cb");
+    src_offsets = by_slot senders (0, 0);
+    promoted;
+    staging =
+      (if promoted then
+         Array.of_list
+           (List.sort_uniq compare (List.concat_map (fun (_, _, r) -> r) inputs))
+       else [||]);
+    incoming;
+    drain = float_of_int (incoming + self_loopback) *. m.drain_cycles_per_elem;
+    chunk_cost = float_of_int (total_dirs * cs) *. m.send_cycles_per_elem *. self_mul;
+    send_elems = total_dirs * num_chunks * cs;
+  }
+
+(** Charge a DSD builtin over [len] elements moving [bytes_per_elem]
+    bytes of local SRAM each. *)
+let builtin_cost (m : Machine.t) (pe : pe) (bytes_per_elem : float) (len : int) :
+    unit =
+  let overhead = float_of_int m.dsd_overhead_cycles in
+  let per_elem = float_of_int len /. m.dsd_elems_per_cycle in
+  pe.clock <- pe.clock +. (overhead +. per_elem);
+  pe.stats.compute_cycles <- pe.stats.compute_cycles +. overhead +. per_elem;
+  pe.stats.mem_bytes <- pe.stats.mem_bytes +. (bytes_per_elem *. float_of_int len)
+
+(** Stage the program module for machine [m]. *)
+let stage (m : Machine.t) (program : op) : code =
+  let body = Csl.module_body program in
+  let global_index = Hashtbl.create 16
+  and scalar_index = Hashtbl.create 4
+  and ptr_index = Hashtbl.create 8 in
+  let sizes = ref [] and inits = ref [] and targets = ref [] in
+  let decl tbl acc o v = acc := (declare tbl (string_attr_exn o "sym_name"), v) :: !acc in
+  List.iter
+    (fun o ->
+      in_context o.opname (fun () ->
+          match o.opname with
+          | "csl.global_buffer" ->
+              decl global_index sizes o
+                (match attr_exn o "type" with
+                | Type_attr t -> num_elements t
+                | _ -> fail "bad buffer type")
+          | "csl.global_scalar" ->
+              decl scalar_index inits o
+                (match attr o "init" with Some (Int_attr i) -> i | _ -> 0)
+          | "csl.ptr_global" -> decl ptr_index targets o (string_attr_exn o "target")
+          | _ -> ()))
+    body;
+  (* later declarations of a name win *)
+  let table tbl entries =
+    let a = Array.make (Hashtbl.length tbl) 0 in
+    List.iter (fun (s, v) -> a.(s) <- v) (List.rev entries);
+    a
+  in
+  let global = find_slot "global buffer" global_index in
+  let ptr = find_slot "pointer" ptr_index in
+  let ptr_targets =
+    List.map
+      (fun (s, target) -> (s, in_context "csl.ptr_global" (fun () -> global target)))
+      !targets
+  in
+  (* a function shadows a task of the same name *)
+  let defs = Hashtbl.create 16 and names = ref [] in
+  let define o =
+    let name = in_context o.opname (fun () -> string_attr_exn o "sym_name") in
+    if not (Hashtbl.mem defs name) then names := name :: !names;
+    Hashtbl.replace defs name o
+  in
+  List.iter (fun o -> if o.opname = "csl.task" then define o) body;
+  List.iter (fun o -> if o.opname = "csl.func" then define o) body;
+  let names = Array.of_list (List.rev !names) in
+  let fn_index = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.replace fn_index n i) names;
+  let where_fn name =
+    let o = Hashtbl.find defs name in
+    Printf.sprintf "%s %s" (if o.opname = "csl.task" then "task" else "function") name
+  in
+  let entry name =
+    in_context (where_fn name) (fun () ->
+        entry_block (List.hd (Hashtbl.find defs name).regions))
+  in
+  let nargs = Array.map (fun n -> List.length (entry n).bargs) names in
+  let callback ~args name =
+    let i = find_slot "function or task" fn_index name in
+    if nargs.(i) > args then
+      fail "%s takes %d arguments where %d are passed" name nargs.(i) args;
+    i
+  in
+  let seq_slots = Hashtbl.create 4 and reach = ref 1 in
+  let fns =
+    Array.make (Array.length names)
+      { fn_name = ""; fn_args = 0; fn_slots = 0; fn_body = [||] }
+  in
+  let call_cycles = float_of_int m.call_cycles in
+  let activate_cycles = float_of_int m.task_activate_cycles in
+  let stage_fn name : fn =
+    let blk = entry name in
+    let slots = Hashtbl.create 32 and next = ref 0 in
+    let bind (v : value) =
+      let s = !next in
+      incr next;
+      Hashtbl.replace slots v.vid s;
+      s
+    in
+    let use (v : value) =
+      match Hashtbl.find_opt slots v.vid with
+      | Some s -> s
+      | None -> fail "value %%%d is used before it is defined" v.vid
+    in
+    List.iter (fun a -> ignore (bind a)) blk.bargs;
+    let rec stage_block (b : block) : instr array =
+      Array.of_list (List.filter_map stage_op b.bops)
+    and stage_op (o : op) : instr option =
+      let where = Printf.sprintf "%s in %s" o.opname (where_fn name) in
+      if o.opname = "scf.if" then begin
+        let c, branches =
+          in_context where (fun () ->
+              (use (operand o 0), List.map entry_block o.regions))
+        in
+        let then_, else_ =
+          match List.map stage_block branches with
+          | [ t ] -> (t, [||])
+          | [ t; e ] -> (t, e)
+          | _ -> fail "%s: expected one or two regions" where
+        in
+        Some
+          (fun pe env ->
+            pe.clock <- pe.clock +. 2.0;
+            run_body (if int_of env c <> 0 then then_ else else_) pe env)
+      end
+      else in_context where (fun () -> stage_leaf o)
+    and stage_leaf (o : op) : instr option =
+      let opnd n = use (operand o n) in
+      let res () = bind (result o) in
+      match o.opname with
+      | "csl.get_global" ->
+          let g = global (string_attr_exn o "gname") and r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 1.0;
+              env.(r) <- Cview (Bufview.of_array pe.globals.(g)))
+      | "csl.deref_ptr" ->
+          let p = ptr (string_attr_exn o "gname") and r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 1.0;
+              env.(r) <- Cview (Bufview.of_array pe.globals.(pe.ptrs.(p))))
+      | "csl.load_scalar" ->
+          let s = find_slot "scalar" scalar_index (string_attr_exn o "gname") in
+          let r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 1.0;
+              env.(r) <- Cint pe.scalars.(s))
+      | "csl.store_scalar" ->
+          let s = find_slot "scalar" scalar_index (string_attr_exn o "gname") in
+          let a = opnd 0 in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 1.0;
+              pe.scalars.(s) <- int_of env a)
+      | "csl.get_mem_dsd" ->
+          let a = opnd 0 in
+          let off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
+          let stride = Option.value (int_attr o "stride") ~default:1 in
+          let r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 2.0;
+              let b = view_of env a in
+              env.(r) <-
+                Cview
+                  (Bufview.make b.Bufview.data ~off:(b.Bufview.off + off) ~len ~stride ()))
+      | "csl.increment_dsd_offset" ->
+          let a = opnd 0 in
+          let by : cell array -> int =
+            match (int_attr o "by", o.operands) with
+            | Some k, _ -> fun _ -> k
+            | None, [ _; v ] ->
+                let s = use v in
+                fun env -> int_of env s
+            | _ -> fail "no offset"
+          in
+          let r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 2.0;
+              let b = view_of env a in
+              env.(r) <-
+                Cview { b with Bufview.off = b.Bufview.off + (by env * b.Bufview.stride) })
+      | "csl.set_dsd_length" ->
+          let a = opnd 0 and len = int_attr_exn o "length" in
+          let r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 2.0;
+              env.(r) <- Cview { (view_of env a) with Bufview.len })
+      | "csl.set_dsd_base_addr" ->
+          let a = opnd 0 and base = opnd 1 in
+          let r = res () in
+          Some
+            (fun pe env ->
+              pe.clock <- pe.clock +. 2.0;
+              let b = view_of env a and base = view_of env base in
+              env.(r) <-
+                Cview { b with Bufview.data = base.Bufview.data; off = base.Bufview.off })
+      | ("csl.fadds" | "csl.fsubs" | "csl.fmuls") as opname ->
+          let op : Bufview.op =
+            match opname with "csl.fadds" -> Add | "csl.fsubs" -> Sub | _ -> Mul
+          in
+          let d = opnd 0 and x = opnd 1 and y = opnd 2 in
+          Some
+            (fun pe env ->
+              let dest = view_of env d in
+              let a, b =
+                match (env.(x), env.(y)) with
+                | Cview a, Cview b -> (a, b)
+                | Cview a, Cfloat k -> (a, Bufview.splat k ~len:a.Bufview.len)
+                | Cview a, Cint i ->
+                    (a, Bufview.splat (float_of_int i) ~len:a.Bufview.len)
+                | Cfloat k, Cview b -> (Bufview.splat k ~len:b.Bufview.len, b)
+                | _ -> fail "%s: bad operands" opname
+              in
+              Bufview.arith_into op a b dest;
+              builtin_cost m pe 12.0 dest.Bufview.len;
+              pe.stats.flops <- pe.stats.flops +. float_of_int dest.Bufview.len)
+      | "csl.fmacs" ->
+          let d = opnd 0 and x = opnd 1 and y = opnd 2 and k = opnd 3 in
+          Some
+            (fun pe env ->
+              let dest = view_of env d in
+              Bufview.fmac_into (view_of env x) (view_of env y) (float_of env k) dest;
+              builtin_cost m pe 12.0 dest.Bufview.len;
+              pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int dest.Bufview.len))
+      | "csl.fmovs" ->
+          let d = opnd 0 and s = opnd 1 in
+          Some
+            (fun pe env ->
+              let dest = view_of env d in
+              (match env.(s) with
+              | Cview a -> Bufview.blit ~src:a ~dst:dest
+              | Cfloat k -> Bufview.fill dest k
+              | _ -> fail "fmovs: bad source");
+              builtin_cost m pe 8.0 dest.Bufview.len)
+      | "arith.constant" ->
+          let c =
+            match attr o "value" with
+            | Some (Int_attr i) -> Cint i
+            | Some (Float_attr f) -> Cfloat f
+            | _ -> fail "bad constant"
+          in
+          let r = res () in
+          Some (fun _ env -> env.(r) <- c)
+      | "arith.addi" ->
+          let a = opnd 0 and b = opnd 1 in
+          let r = res () in
+          Some (fun _ env -> env.(r) <- Cint (int_of env a + int_of env b))
+      | "arith.cmpi" ->
+          let a = opnd 0 and b = opnd 1 in
+          let pred : int -> int -> bool =
+            match string_attr_exn o "predicate" with
+            | "slt" -> ( < )
+            | "sle" -> ( <= )
+            | "sgt" -> ( > )
+            | "sge" -> ( >= )
+            | "eq" -> ( = )
+            | "ne" -> ( <> )
+            | p -> fail "unknown predicate %s" p
+          in
+          let r = res () in
+          Some
+            (fun _ env ->
+              env.(r) <- Cint (if pred (int_of env a) (int_of env b) then 1 else 0))
+      | "csl.call" ->
+          let j = callback ~args:0 (string_attr_exn o "callee") in
+          Some
+            (fun pe _ ->
+              pe.clock <- pe.clock +. call_cycles;
+              exec fns.(j) pe Cunset)
+      | "csl.activate" ->
+          let j = callback ~args:0 (string_attr_exn o "task") in
+          Some
+            (fun pe _ ->
+              pe.clock <- pe.clock +. 2.0;
+              pe.stats.task_activations <- pe.stats.task_activations + 1;
+              pe.task_queue <- pe.task_queue @ [ (pe.clock +. activate_cycles, fns.(j)) ])
+      | "csl.assign_ptrs" ->
+          let slots k = Array.of_list (List.map ptr (Csl.string_list_attr o k)) in
+          let dests = slots "dests" and srcs = slots "srcs" in
+          if Array.length dests <> Array.length srcs then
+            fail "%d dests for %d srcs" (Array.length dests) (Array.length srcs);
+          Some
+            (fun pe _ ->
+              pe.clock <- pe.clock +. 4.0;
+              let olds = Array.map (fun s -> pe.ptrs.(s)) srcs in
+              Array.iteri (fun i d -> pe.ptrs.(d) <- olds.(i)) dests)
+      | "csl.member_call" -> (
+          match string_attr_exn o "field" with
+          | "communicate" ->
+              let plan =
+                decode_comm m ~ptr ~global ~callback ~seq_slot:(declare seq_slots)
+                  (attr_exn o "config")
+              in
+              Array.iter
+                (fun inp ->
+                  Array.iter
+                    (fun sw -> reach := max !reach (Array.length sw.sw_src))
+                    inp.in_swaps)
+                plan.inputs;
+              Some
+                (fun pe _ ->
+                  pe.clock <- pe.clock +. call_cycles;
+                  pe.pending <- plan :: pe.pending)
+          | f -> fail "unknown library function %s" f)
+      | "csl.unblock_cmd_stream" -> Some (fun pe _ -> pe.finished <- true)
+      | "csl.return" -> None
+      | _ -> fail "unsupported op"
+    in
+    let body = stage_block blk in
+    { fn_name = name; fn_args = List.length blk.bargs; fn_slots = !next; fn_body = body }
+  in
+  Array.iteri (fun i name -> fns.(i) <- stage_fn name) names;
+  {
+    fns;
+    fn_index;
+    run = in_context "entry point" (fun () -> callback ~args:0 "run");
+    global_index;
+    global_sizes = table global_index !sizes;
+    scalar_index;
+    scalar_init = table scalar_index !inits;
+    ptr_index;
+    ptr_init = table ptr_index ptr_targets;
+    n_seq = Hashtbl.length seq_slots;
+    reach = !reach;
+  }
+
 (** {1 Simulator} *)
 
 type t = {
   machine : Machine.t;
   program : op;
+  code : code;  (** the staged program, shared by every PE and strip *)
   width : int;
   height : int;
   pes : pe array array;
-  funcs : (string, op) Hashtbl.t;
-  tasks : (string, op) Hashtbl.t;
   sends : (int * int * int * int, send_record) Hashtbl.t;
       (** (apply, seq, x, y) -> record, until every receiver in columns
           [x_lo..x_hi] has consumed it *)
@@ -389,41 +890,19 @@ type t = {
           drivers) costs one branch per send. *)
 }
 
-let new_pe (program : op) x y : pe =
-  let globals = Hashtbl.create 16 in
-  let scalars = Hashtbl.create 4 in
-  let ptrs = Hashtbl.create 8 in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "csl.global_buffer" ->
-          let name = string_attr_exn o "sym_name" in
-          let size =
-            match attr_exn o "type" with
-            | Type_attr t -> num_elements t
-            | _ -> fail "bad buffer type"
-          in
-          Hashtbl.replace globals name (Array.make size 0.0)
-      | "csl.global_scalar" ->
-          let name = string_attr_exn o "sym_name" in
-          let init = match attr o "init" with Some (Int_attr i) -> i | _ -> 0 in
-          Hashtbl.replace scalars name (ref init)
-      | "csl.ptr_global" ->
-          Hashtbl.replace ptrs (string_attr_exn o "sym_name")
-            (ref (string_attr_exn o "target"))
-      | _ -> ())
-    (Csl.module_body program);
+let new_pe (code : code) x y : pe =
   {
     px = x;
     py = y;
-    globals;
-    scalars;
-    ptrs;
+    globals = Array.map (fun n -> Array.make n 0.0) code.global_sizes;
+    scalars = Array.copy code.scalar_init;
+    ptrs = Array.copy code.ptr_init;
     clock = 0.0;
     finished = false;
     task_queue = [];
     waiting = None;
-    seq = Hashtbl.create 4;
+    seq = Array.make code.n_seq 0;
+    pending = [];
     stats =
       {
         compute_cycles = 0.0;
@@ -458,14 +937,7 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
   if mem > machine.pe_memory_bytes then
     fail "program needs %d bytes per PE; %s provides %d" mem machine.name
       machine.pe_memory_bytes;
-  let funcs = Hashtbl.create 16 and tasks = Hashtbl.create 4 in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "csl.func" -> Hashtbl.replace funcs (string_attr_exn o "sym_name") o
-      | "csl.task" -> Hashtbl.replace tasks (string_attr_exn o "sym_name") o
-      | _ -> ())
-    (Csl.module_body program);
+  let code = stage machine program in
   if Trace.enabled trace then begin
     Trace.name_process trace ~pid:Trace.fabric_pid "fabric";
     for x = 0 to width - 1 do
@@ -478,11 +950,10 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
   {
     machine;
     program;
+    code;
     width;
     height;
-    pes = Array.init width (fun x -> Array.init height (fun y -> new_pe program x y));
-    funcs;
-    tasks;
+    pes = Array.init width (fun x -> Array.init height (fun y -> new_pe code x y));
     sends = Hashtbl.create 1024;
     x_lo = 0;
     x_hi = width - 1;
@@ -495,6 +966,20 @@ let create ?(trace = Trace.null) ?(faults = Faults.null) (machine : Machine.t)
     faults;
     on_send = None;
   }
+
+(** The buffer a pointer global of [pe] currently targets. *)
+let deref (sim : t) (pe : pe) (ptr : string) : float array =
+  match Hashtbl.find_opt sim.code.ptr_index ptr with
+  | Some p -> pe.globals.(pe.ptrs.(p))
+  | None -> fail "PE(%d,%d): no pointer %s" pe.px pe.py ptr
+
+(** The slot of a scalar global in every PE's [scalars]. *)
+let scalar_slot (sim : t) (name : string) : int =
+  find_slot "scalar" sim.code.scalar_index name
+
+(** A staged function or task by name. *)
+let find_fn (sim : t) (name : string) : fn =
+  sim.code.fns.(find_slot "function or task" sim.code.fn_index name)
 
 (** {1 Trace emission}
 
@@ -676,210 +1161,6 @@ let link_outcome (sim : t) (pe : pe) ~(apply : int) ~(seq : int) ~(chunk : int)
       in
       attempt 0
 
-(** {1 csl-op execution on one PE} *)
-
-type cell = Cbuf of Bufview.t | Cdsd of Bufview.t | Cint of int | Cfloat of float
-
-let buffer_of (pe : pe) name : float array =
-  match Hashtbl.find_opt pe.globals name with
-  | Some a -> a
-  | None -> fail "PE(%d,%d): no buffer %s" pe.px pe.py name
-
-let deref (pe : pe) ptr : float array =
-  match Hashtbl.find_opt pe.ptrs ptr with
-  | Some target -> buffer_of pe !target
-  | None -> fail "PE(%d,%d): no pointer %s" pe.px pe.py ptr
-
-(** Execute a function/task body; accumulates cycle cost on the PE.
-    Returns the communicate configs encountered (registered by caller). *)
-let rec exec_block (sim : t) (pe : pe) (env : (int, cell) Hashtbl.t) (blk : block) :
-    comm_cfg list =
-  let m = sim.machine in
-  let lookup v =
-    match Hashtbl.find_opt env v.vid with
-    | Some c -> c
-    | None -> fail "exec: unbound value %%%d" v.vid
-  in
-  let as_view v =
-    match lookup v with
-    | Cdsd b | Cbuf b -> b
-    | _ -> fail "exec: expected DSD/buffer"
-  in
-  let as_int v =
-    match lookup v with Cint i -> i | _ -> fail "exec: expected int"
-  in
-  let as_float v =
-    match lookup v with
-    | Cfloat f -> f
-    | Cint i -> float_of_int i
-    | _ -> fail "exec: expected float"
-  in
-  let cost c = pe.clock <- pe.clock +. c in
-  let builtin_cost ?(bytes_per_elem = 12.0) len =
-    cost (float_of_int m.dsd_overhead_cycles +. (float_of_int len /. m.dsd_elems_per_cycle));
-    pe.stats.compute_cycles <-
-      pe.stats.compute_cycles +. float_of_int m.dsd_overhead_cycles
-      +. (float_of_int len /. m.dsd_elems_per_cycle);
-    (* two operand reads + one destination write of 4 bytes per element
-       for the arithmetic builtins; a move reads one and writes one *)
-    pe.stats.mem_bytes <- pe.stats.mem_bytes +. (bytes_per_elem *. float_of_int len)
-  in
-  let comms = ref [] in
-  List.iter
-    (fun o ->
-      match o.opname with
-      | "csl.get_global" ->
-          cost 1.0;
-          Hashtbl.replace env (result o).vid
-            (Cbuf (Bufview.of_array (buffer_of pe (string_attr_exn o "gname"))))
-      | "csl.deref_ptr" ->
-          cost 1.0;
-          Hashtbl.replace env (result o).vid
-            (Cbuf (Bufview.of_array (deref pe (string_attr_exn o "gname"))))
-      | "csl.load_scalar" ->
-          cost 1.0;
-          Hashtbl.replace env (result o).vid
-            (Cint !(Hashtbl.find pe.scalars (string_attr_exn o "gname")))
-      | "csl.store_scalar" ->
-          cost 1.0;
-          Hashtbl.find pe.scalars (string_attr_exn o "gname") := as_int (operand o 0)
-      | "csl.get_mem_dsd" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          let off = int_attr_exn o "offset" and len = int_attr_exn o "length" in
-          let stride =
-            match int_attr o "stride" with Some s -> s | None -> 1
-          in
-          Hashtbl.replace env (result o).vid
-            (Cdsd (Bufview.make b.Bufview.data ~off:(b.Bufview.off + off) ~len ~stride ()))
-      | "csl.increment_dsd_offset" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          let by =
-            match (int_attr o "by", o.operands) with
-            | Some k, _ -> k
-            | None, [ _; v ] -> as_int v
-            | _ -> fail "increment_dsd_offset: no offset"
-          in
-          Hashtbl.replace env (result o).vid
-            (Cdsd { b with Bufview.off = b.Bufview.off + (by * b.Bufview.stride) })
-      | "csl.set_dsd_length" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          Hashtbl.replace env (result o).vid
-            (Cdsd { b with Bufview.len = int_attr_exn o "length" })
-      | "csl.set_dsd_base_addr" ->
-          cost 2.0;
-          let b = as_view (operand o 0) in
-          let base = as_view (operand o 1) in
-          Hashtbl.replace env (result o).vid
-            (Cdsd { b with Bufview.data = base.Bufview.data; off = base.Bufview.off })
-      | "csl.fadds" | "csl.fsubs" | "csl.fmuls" ->
-          let dest = as_view (operand o 0) in
-          let op : Bufview.op =
-            match o.opname with
-            | "csl.fadds" -> Add
-            | "csl.fsubs" -> Sub
-            | _ -> Mul
-          in
-          let a, b =
-            match (lookup (operand o 1), lookup (operand o 2)) with
-            | (Cdsd a | Cbuf a), (Cdsd b | Cbuf b) -> (a, b)
-            | (Cdsd a | Cbuf a), Cfloat k -> (a, Bufview.splat k ~len:a.Bufview.len)
-            | (Cdsd a | Cbuf a), Cint i ->
-                (a, Bufview.splat (float_of_int i) ~len:a.Bufview.len)
-            | Cfloat k, (Cdsd b | Cbuf b) -> (Bufview.splat k ~len:b.Bufview.len, b)
-            | _ -> fail "%s: bad operands" o.opname
-          in
-          Bufview.arith_into op a b dest;
-          builtin_cost dest.Bufview.len;
-          pe.stats.flops <- pe.stats.flops +. float_of_int dest.Bufview.len
-      | "csl.fmacs" ->
-          let dest = as_view (operand o 0) in
-          let a = as_view (operand o 1) and b = as_view (operand o 2) in
-          let k = as_float (operand o 3) in
-          Bufview.fmac_into a b k dest;
-          builtin_cost dest.Bufview.len;
-          pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int dest.Bufview.len)
-      | "csl.fmovs" ->
-          let dest = as_view (operand o 0) in
-          (match lookup (operand o 1) with
-          | Cdsd a | Cbuf a -> Bufview.blit ~src:a ~dst:dest
-          | Cfloat k -> Bufview.fill dest k
-          | _ -> fail "fmovs: bad source");
-          builtin_cost ~bytes_per_elem:8.0 dest.Bufview.len
-      | "arith.constant" -> (
-          match (attr o "value", (result o).vtyp) with
-          | Some (Int_attr i), _ -> Hashtbl.replace env (result o).vid (Cint i)
-          | Some (Float_attr f), _ -> Hashtbl.replace env (result o).vid (Cfloat f)
-          | _ -> fail "exec: bad constant")
-      | "arith.addi" ->
-          Hashtbl.replace env (result o).vid
-            (Cint (as_int (operand o 0) + as_int (operand o 1)))
-      | "arith.cmpi" ->
-          let a = as_int (operand o 0) and b = as_int (operand o 1) in
-          let r =
-            match string_attr_exn o "predicate" with
-            | "slt" -> a < b
-            | "sle" -> a <= b
-            | "sgt" -> a > b
-            | "sge" -> a >= b
-            | "eq" -> a = b
-            | "ne" -> a <> b
-            | p -> fail "cmpi: %s" p
-          in
-          Hashtbl.replace env (result o).vid (Cint (if r then 1 else 0))
-      | "scf.if" ->
-          cost 2.0;
-          let c = as_int (operand o 0) in
-          let r = region o (if c <> 0 then 0 else 1) in
-          comms := !comms @ exec_block sim pe env (entry_block r)
-      | "csl.call" ->
-          cost (float_of_int m.call_cycles);
-          comms := !comms @ exec_func sim pe (string_attr_exn o "callee") []
-      | "csl.activate" ->
-          cost 2.0;
-          pe.stats.task_activations <- pe.stats.task_activations + 1;
-          pe.task_queue <-
-            pe.task_queue
-            @ [ (pe.clock +. float_of_int m.task_activate_cycles, string_attr_exn o "task") ]
-      | "csl.assign_ptrs" ->
-          cost 4.0;
-          let dests = Csl.string_list_attr o "dests" in
-          let srcs = Csl.string_list_attr o "srcs" in
-          let olds = List.map (fun s -> !(Hashtbl.find pe.ptrs s)) srcs in
-          List.iter2 (fun d v -> Hashtbl.find pe.ptrs d := v) dests olds
-      | "csl.member_call" -> (
-          match string_attr_exn o "field" with
-          | "communicate" ->
-              cost (float_of_int m.call_cycles);
-              comms := !comms @ [ parse_comm_cfg (attr_exn o "config") ]
-          | f -> fail "member_call: unknown library function %s" f)
-      | "csl.unblock_cmd_stream" -> pe.finished <- true
-      | "csl.return" -> ()
-      | name -> fail "exec: unsupported op %s" name)
-    blk.bops;
-  !comms
-
-and exec_func (sim : t) (pe : pe) (name : string) (args : cell list) : comm_cfg list =
-  let f =
-    match Hashtbl.find_opt sim.funcs name with
-    | Some f -> f
-    | None -> (
-        match Hashtbl.find_opt sim.tasks name with
-        | Some t -> t
-        | None -> fail "no function or task %s" name)
-  in
-  let blk = entry_block (List.hd f.regions) in
-  let env = Hashtbl.create 32 in
-  List.iteri
-    (fun i a ->
-      match List.nth_opt args i with
-      | Some c -> Hashtbl.replace env a.vid c
-      | None -> fail "missing argument %d of %s" i name)
-    blk.bargs;
-  exec_block sim pe env blk
-
 (** {1 Communication engine} *)
 
 let in_grid sim x y = x >= 0 && x < sim.width && y >= 0 && y < sim.height
@@ -923,29 +1204,19 @@ let release_send (sim : t) ((apply, seq, x, y) as key : Sched.key) : unit =
 
 (** Register this PE's send for an exchange: snapshot the z range of each
     send buffer, charge injection cost, record chunk completion times. *)
-let register_send (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) : unit =
-  let m = sim.machine in
+let register_send (sim : t) (pe : pe) (cfg : comm) (seq : int) : unit =
   let data =
-    Array.of_list
-      (List.map
-         (fun inp -> Array.sub (deref pe inp.send_ptr) cfg.z_base cfg.c_nz)
-         cfg.inputs)
+    Array.map
+      (fun inp -> Array.sub pe.globals.(pe.ptrs.(inp.in_ptr)) cfg.z_base cfg.c_nz)
+      cfg.inputs
   in
-  let dirs_per_input =
-    List.map (fun inp -> List.length inp.swaps) cfg.inputs
-  in
-  let total_dirs = List.fold_left ( + ) 0 dirs_per_input in
-  let self_mul = if m.self_send then 2.0 else 1.0 in
-  let chunk_cost =
-    float_of_int (total_dirs * cfg.chunk_size) *. m.send_cycles_per_elem *. self_mul
-  in
+  let chunk_cost = cfg.chunk_cost in
   let ready =
     Array.init cfg.num_chunks (fun k ->
         pe.clock +. (float_of_int (k + 1) *. chunk_cost))
   in
   pe.stats.send_cycles <- pe.stats.send_cycles +. (float_of_int cfg.num_chunks *. chunk_cost);
-  pe.stats.elems_sent <-
-    pe.stats.elems_sent + (total_dirs * cfg.num_chunks * cfg.chunk_size);
+  pe.stats.elems_sent <- pe.stats.elems_sent + cfg.send_elems;
   (* injection overlaps with waiting: model sender as busy for the first
      chunk only; the rest stream out asynchronously *)
   let inject_start = pe.clock in
@@ -985,27 +1256,17 @@ let register_send (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int) : unit =
         trace_instant sim wpe ~cat:"sched" ~name:"wake" wpe.clock)
       woken
 
-(** State slot a communicated input corresponds to, for boundary-column
-    lookup: the Dirichlet halo is the initial value of that logical grid. *)
-let halo_slot (inp : input_cfg) : int =
-  let p = inp.send_ptr in
-  if String.length p > 9 && String.sub p 0 9 = "ptr_state" then
-    Option.value (int_of_string_opt (String.sub p 9 (String.length p - 9))) ~default:0
-  else 0
-
 (** Where a receiver's column comes from. *)
 type source =
   | Src_fabric of send_record  (** a neighbour's snapshot *)
-  | Src_halo of float array * int
-      (** host-resident boundary column, and where this exchange's z
-          range starts in it *)
+  | Src_halo of float array  (** host-resident boundary column *)
   | Src_skipped
       (** the sender halted and the resilience layer degraded past it:
           receivers substitute zeroes and mark their data invalid *)
 
 (** Whether the sender at offset (dx, dy) has made its column available.
     Boundary columns are held host-side and always are. *)
-let source_present (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int)
+let source_present (sim : t) (pe : pe) (cfg : comm) (seq : int)
     ((dx, dy) : int * int) : bool =
   let sx = pe.px + dx and sy = pe.py + dy in
   (not (in_grid sim sx sy))
@@ -1013,10 +1274,11 @@ let source_present (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int)
   || Faults.enabled sim.faults
      && Faults.is_skipped sim.faults ~apply:cfg.apply_id ~seq ~x:sx ~y:sy
 
-(** The column a receiver gets for [inp] from offset (dx, dy), once
-    {!source_present}. *)
-let source_column (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int)
-    (inp : input_cfg) ~(dx : int) ~(dy : int) : source =
+(** The column a receiver gets from offset (dx, dy), once
+    {!source_present}.  Fixed for the whole exchange: the record stays
+    in the table until this receiver releases it. *)
+let source_column (sim : t) (pe : pe) (cfg : comm) (seq : int)
+    ((dx, dy) : int * int) : source =
   let sx = pe.px + dx and sy = pe.py + dy in
   if in_grid sim sx sy then
     match Hashtbl.find_opt sim.sends (cfg.apply_id, seq, sx, sy) with
@@ -1029,91 +1291,76 @@ let source_column (sim : t) (pe : pe) (cfg : comm_cfg) (seq : int)
         else fail "complete_exchange: sender disappeared"
   else
     match Hashtbl.find_opt sim.halo (sx, sy) with
-    | Some col -> Src_halo (col, (halo_slot inp * sim.zfull) + cfg.z_base)
+    | Some col -> Src_halo col
     | None -> fail "no boundary column for (%d,%d)" sx sy
 
 (** Check whether all senders this PE depends on have registered. *)
 let exchange_ready (sim : t) (pe : pe) (w : waiting) : bool =
   Array.for_all (source_present sim pe w.w_cfg w.w_seq) w.w_cfg.src_offsets
 
+(** Write [col]'s chunk, which starts at [src], into receive buffer
+    [rcv] as damaged (or lost) by the link's [outcome]: accumulated
+    with coefficient [coef] into a promoted staging buffer, or copied to
+    the hop's slot at [slot] otherwise. *)
+let deliver (cfg : comm) (rcv : float array) ~(slot : int) ~(coef : float)
+    (col : float array) (src : int) (outcome : delivery) : unit =
+  let cs = cfg.chunk_size in
+  if cfg.promoted then
+    match outcome with
+    | Lost -> () (* the missing contribution reads as zero *)
+    | Clean ->
+        for z = 0 to cs - 1 do
+          rcv.(z) <- rcv.(z) +. (coef *. col.(src + z))
+        done
+    | Damaged (idx, noise) ->
+        for z = 0 to cs - 1 do
+          let v = col.(src + z) in
+          let v = if z = idx then v +. noise else v in
+          rcv.(z) <- rcv.(z) +. (coef *. v)
+        done
+  else
+    match outcome with
+    | Lost -> Array.fill rcv slot cs 0.0
+    | Clean -> Array.blit col src rcv slot cs
+    | Damaged (idx, noise) ->
+        Array.blit col src rcv slot cs;
+        rcv.(slot + idx) <- rcv.(slot + idx) +. noise
+
 (** Deliver all chunks and run the callbacks; assumes {!exchange_ready}. *)
 let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
   let m = sim.machine in
   let cfg = w.w_cfg in
   let cs = cfg.chunk_size in
-  let promoted = cfg.coeffs <> [] in
+  let sources = Array.map (source_column sim pe cfg w.w_seq) cfg.src_offsets in
   for k = 0 to cfg.num_chunks - 1 do
     let off = k * cs in
     let arrival = ref w.w_registered_at in
     (* promoted staging buffers accumulate; clear once per chunk (with
        the one-shot reduction several directions share one buffer) *)
-    if promoted then begin
-      let seen = Hashtbl.create 4 in
-      List.iter
-        (fun inp ->
-          List.iter
-            (fun (_, name) ->
-              if not (Hashtbl.mem seen name) then begin
-                Hashtbl.replace seen name ();
-                let rcv = buffer_of pe name in
-                Array.fill rcv 0 (Array.length rcv) 0.0
-              end)
-            inp.rcv_bufs)
-        cfg.inputs
-    end;
+    Array.iter
+      (fun g ->
+        let rcv = pe.globals.(g) in
+        Array.fill rcv 0 (Array.length rcv) 0.0)
+      cfg.staging;
     (* deliver into receive buffers *)
-    List.iteri
+    Array.iteri
       (fun i inp ->
-        List.iter
-          (fun (sw : Dmp.swap_desc) ->
-            let vx, vy = dir_vector sw.dir in
-            let rcv = buffer_of pe (List.assoc sw.dir inp.rcv_bufs) in
-            for d = 1 to sw.depth do
-              (* write [col]'s chunk, which starts at [src], into this
-                 source's slot of the receive buffer, as damaged (or
-                 lost) by the link's outcome *)
-              let deliver (col : float array) (src : int) (outcome : delivery) :
-                  unit =
-                if promoted then begin
-                  let c =
-                    match
-                      List.find_opt
-                        (fun (ci, cdx, cdy, _) ->
-                          ci = i && cdx = vx * d && cdy = vy * d)
-                        cfg.coeffs
-                    with
-                    | Some (_, _, _, c) -> c
-                    | None -> 0.0
-                  in
-                  match outcome with
-                  | Lost -> () (* the missing contribution reads as zero *)
-                  | Clean ->
-                      for z = 0 to cs - 1 do
-                        rcv.(z) <- rcv.(z) +. (c *. col.(src + z))
-                      done
-                  | Damaged (idx, noise) ->
-                      for z = 0 to cs - 1 do
-                        let v = col.(src + z) in
-                        let v = if z = idx then v +. noise else v in
-                        rcv.(z) <- rcv.(z) +. (c *. v)
-                      done
-                end
-                else
-                  match outcome with
-                  | Lost -> Array.fill rcv ((d - 1) * cs) cs 0.0
-                  | Clean -> Array.blit col src rcv ((d - 1) * cs) cs
-                  | Damaged (idx, noise) ->
-                      Array.blit col src rcv ((d - 1) * cs) cs;
-                      rcv.(((d - 1) * cs) + idx) <-
-                        rcv.(((d - 1) * cs) + idx) +. noise
-              in
-              match source_column sim pe cfg w.w_seq inp ~dx:(vx * d) ~dy:(vy * d) with
-              | Src_halo (col, base) ->
+        Array.iter
+          (fun sw ->
+            let rcv = pe.globals.(sw.sw_rcv) in
+            for d = 1 to Array.length sw.sw_src do
+              let j = sw.sw_src.(d - 1) in
+              let slot = (d - 1) * cs and coef = sw.sw_coef.(d - 1) in
+              match sources.(j) with
+              | Src_halo col ->
                   (* host links are outside the fault model *)
-                  deliver col (base + off) Clean
+                  deliver cfg rcv ~slot ~coef col
+                    ((inp.in_halo * sim.zfull) + cfg.z_base + off)
+                    Clean
               | Src_fabric sr ->
                   let col = sr.sr_data.(i) and r = sr.sr_chunk_ready in
-                  let sx = pe.px + (vx * d) and sy = pe.py + (vy * d) in
+                  let dx, dy = cfg.src_offsets.(j) in
+                  let sx = pe.px + dx and sy = pe.py + dy in
                   let at0 = r.(k) +. float_of_int (d * m.hop_cycles) in
                   let at, outcome =
                     if Faults.enabled sim.faults then
@@ -1122,14 +1369,14 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                     else (at0, Clean)
                   in
                   arrival := Float.max !arrival at;
-                  trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sw.dir
+                  trace_link sim ~src:sim.pes.(sx).(sy) ~dst:pe ~dir:sw.sw_dir
                     ~chunk:k ~elems:cs ~ready:r.(k) ~arrival:at;
                   if
                     Faults.enabled sim.faults
                     && Faults.is_tainted_send sim.faults ~apply:cfg.apply_id
                          ~seq:w.w_seq ~x:sx ~y:sy
                   then Faults.taint sim.faults ~x:pe.px ~y:pe.py;
-                  deliver col off outcome
+                  deliver cfg rcv ~slot ~coef col off outcome
               | Src_skipped ->
                   (* sender halted: the receiver waited out the halt
                      timeout, substitutes zeroes and marks itself *)
@@ -1140,9 +1387,9 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
                           (w.w_registered_at +. r.Faults.halt_timeout_cycles)
                   | None -> ());
                   Faults.taint sim.faults ~x:pe.px ~y:pe.py;
-                  deliver [||] 0 Lost
+                  deliver cfg rcv ~slot ~coef [||] 0 Lost
             done)
-          inp.swaps)
+          inp.in_swaps)
       cfg.inputs;
     (* run the chunk callback once data for this chunk has arrived *)
     if !arrival > pe.clock then begin
@@ -1152,37 +1399,23 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
     end;
     (* queue-drain cost: every incoming wavelet is moved (and, with
        promoted coefficients, reduced) from the input queue to memory by
-       the communication library; on the WSE2 the self-send workaround
-       makes the PE drain its own looped-back wavelets as well *)
-    let incoming =
-      List.fold_left
-        (fun acc inp ->
-          List.fold_left (fun a (sw : Dmp.swap_desc) -> a + (sw.depth * cs)) acc
-            inp.swaps)
-        0 cfg.inputs
-    in
-    let self_loopback =
-      if m.self_send then
-        List.fold_left
-          (fun acc inp -> acc + (List.length inp.swaps * cs))
-          0 cfg.inputs
-      else 0
-    in
-    let drain =
-      float_of_int (incoming + self_loopback) *. m.drain_cycles_per_elem
-    in
-    trace_span sim pe ~cat:"recv" ~name:"drain" pe.clock (pe.clock +. drain);
-    pe.clock <- pe.clock +. drain;
-    pe.stats.compute_cycles <- pe.stats.compute_cycles +. drain;
-    pe.stats.elems_drained <- pe.stats.elems_drained + incoming;
+       the communication library *)
+    trace_span sim pe ~cat:"recv" ~name:"drain" pe.clock (pe.clock +. cfg.drain);
+    pe.clock <- pe.clock +. cfg.drain;
+    pe.stats.compute_cycles <- pe.stats.compute_cycles +. cfg.drain;
+    pe.stats.elems_drained <- pe.stats.elems_drained + cfg.incoming;
     (* with promoted coefficients the drain IS the algorithmic multiply
        and accumulate (@fmacs off the fabric queue, SS5.7) *)
-    if promoted then pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int incoming);
+    if cfg.promoted then
+      pe.stats.flops <- pe.stats.flops +. (2.0 *. float_of_int cfg.incoming);
     pe.stats.task_activations <- pe.stats.task_activations + 1;
     pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
+    let cb = sim.code.fns.(cfg.chunk_cb) in
     let cb_start = pe.clock in
-    ignore (exec_func sim pe cfg.chunk_cb [ Cint off ]);
-    trace_span sim pe ~cat:"compute" ~name:cfg.chunk_cb cb_start pe.clock
+    exec cb pe (Cint off);
+    (* a chunk callback's own communicate calls are not started *)
+    pe.pending <- [];
+    trace_span sim pe ~cat:"compute" ~name:cb.fn_name cb_start pe.clock
   done;
   (* every chunk of every source is in: this receiver is done with them *)
   Array.iter
@@ -1193,21 +1426,23 @@ let rec complete_exchange (sim : t) (pe : pe) (w : waiting) : unit =
   (* done callback: one final task activation *)
   pe.stats.task_activations <- pe.stats.task_activations + 1;
   pe.clock <- pe.clock +. float_of_int m.task_activate_cycles;
+  let done_cb = sim.code.fns.(cfg.done_cb) in
   let done_start = pe.clock in
-  let new_comms = exec_func sim pe cfg.done_cb [] in
-  trace_span sim pe ~cat:"compute" ~name:cfg.done_cb done_start pe.clock;
+  exec done_cb pe Cunset;
+  trace_span sim pe ~cat:"compute" ~name:done_cb.fn_name done_start pe.clock;
   (* the done callback may start the next exchange *)
-  List.iter (start_exchange sim pe) new_comms
+  start_pending sim pe
 
-and start_exchange (sim : t) (pe : pe) (cfg : comm_cfg) : unit =
-  let seq =
-    let s = Option.value (Hashtbl.find_opt pe.seq cfg.apply_id) ~default:0 in
-    Hashtbl.replace pe.seq cfg.apply_id (s + 1);
-    s
-  in
+and start_exchange (sim : t) (pe : pe) (cfg : comm) : unit =
+  let seq = pe.seq.(cfg.seq_slot) in
+  pe.seq.(cfg.seq_slot) <- seq + 1;
   register_send sim pe cfg seq;
   if pe.waiting <> None then fail "PE(%d,%d): overlapping exchanges" pe.px pe.py;
   pe.waiting <- Some { w_cfg = cfg; w_seq = seq; w_registered_at = pe.clock }
+
+(** Start the exchanges the activation that just ran issued. *)
+and start_pending (sim : t) (pe : pe) : unit =
+  List.iter (start_exchange sim pe) (take_pending pe)
 
 (** {1 Driver} *)
 
@@ -1221,7 +1456,7 @@ let run_tasks (sim : t) (pe : pe) : bool =
   | q ->
       let earliest = List.fold_left (fun acc (t, _) -> Float.min acc t) infinity q in
       let rec extract acc = function
-        | (t, name) :: rest when t = earliest -> ((t, name), List.rev_append acc rest)
+        | (t, f) :: rest when t = earliest -> ((t, f), List.rev_append acc rest)
         | e :: rest -> extract (e :: acc) rest
         | [] ->
             fail
@@ -1229,7 +1464,7 @@ let run_tasks (sim : t) (pe : pe) : bool =
                %g vanished while dispatching (queue: [%s])"
               pe.px pe.py earliest
               (String.concat "; "
-                 (List.map (fun (at, n) -> Printf.sprintf "%s@%g" n at) q))
+                 (List.map (fun (at, f) -> Printf.sprintf "%s@%g" f.fn_name at) q))
       in
       (* fault injection at the dispatch point: the hardware scheduler is
          where a stuck or dead PE stops taking work *)
@@ -1261,13 +1496,13 @@ let run_tasks (sim : t) (pe : pe) : bool =
       in
       if halted then false
       else begin
-        let (t, name), rest = extract [] q in
+        let (t, f), rest = extract [] q in
         pe.task_queue <- rest;
         pe.clock <- Float.max pe.clock t;
         let task_start = pe.clock in
-        let comms = exec_func sim pe name [] in
-        trace_span sim pe ~cat:"compute" ~name task_start pe.clock;
-        List.iter (start_exchange sim pe) comms;
+        exec f pe Cunset;
+        trace_span sim pe ~cat:"compute" ~name:f.fn_name task_start pe.clock;
+        start_pending sim pe;
         true
       end
 
@@ -1306,9 +1541,9 @@ let launch_cols (sim : t) (x0 : int) (x1 : int) : unit =
     Array.iter
       (fun pe ->
         let run_start = pe.clock in
-        let comms = exec_func sim pe "run" [] in
+        exec sim.code.fns.(sim.code.run) pe Cunset;
         trace_span sim pe ~cat:"compute" ~name:"run" run_start pe.clock;
-        List.iter (start_exchange sim pe) comms)
+        start_pending sim pe)
       sim.pes.(x)
   done
 
@@ -1637,28 +1872,6 @@ let run_event ~(max_rounds : int) (sim : t) : unit =
     driver-specific "sched" park/wake instants depend on cross-domain
     timing (as park/wake instants already did versus polling). *)
 
-(** Farthest hop distance any communicate config of the program reaches:
-    the lookahead of the round barrier. *)
-let max_swap_depth (sim : t) : int =
-  find_ops
-    (fun o ->
-      o.opname = "csl.member_call"
-      &&
-      match attr o "field" with
-      | Some (String_attr "communicate") -> true
-      | _ -> false)
-    sim.program
-  |> List.fold_left
-       (fun acc o ->
-         let cfg = parse_comm_cfg (attr_exn o "config") in
-         List.fold_left
-           (fun acc inp ->
-             List.fold_left
-               (fun acc (sw : Dmp.swap_desc) -> max acc sw.depth)
-               acc inp.swaps)
-           acc cfg.inputs)
-       1
-
 (* Test-visible count of worker domains ever spawned by [run_parallel]:
    the regression test asserts one run raises it by exactly the domain
    count, however many rounds the run takes. *)
@@ -1695,7 +1908,7 @@ let run_parallel ~(max_rounds : int) ~(domains : int) (sim : t) : unit =
     run_event ~max_rounds sim
   end
   else begin
-    let reach = max_swap_depth sim in
+    let reach = sim.code.reach in
     let tiles =
       Array.init n (fun i ->
           let x0 = i * sim.width / n and x1 = (((i + 1) * sim.width) / n) - 1 in

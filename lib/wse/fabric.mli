@@ -5,26 +5,10 @@
 
 exception Sim_error of string
 
-type input_cfg = {
-  send_ptr : string;
-  swaps : Wsc_dialects.Dmp.swap_desc list;
-  rcv_bufs : (Wsc_dialects.Dmp.direction * string) list;
-}
-
-type comm_cfg = {
-  apply_id : int;
-  inputs : input_cfg list;
-  coeffs : (int * int * int * float) list;
-  z_base : int;
-  c_nz : int;
-  num_chunks : int;
-  chunk_size : int;
-  chunk_cb : string;
-  done_cb : string;
-  src_offsets : (int * int) array;
-      (** distinct (dx, dy) from a receiver to each sender it reads:
-          its readiness test and the reader count of its sends *)
-}
+(** A [communicate] call's config, decoded once when the program is
+    staged: buffers and pointers resolved to slots, callbacks to staged
+    functions, and a per-(input, swap, hop) delivery plan. *)
+type comm
 
 type pe_stats = {
   mutable compute_cycles : float;
@@ -84,27 +68,35 @@ end
 type pe = {
   px : int;
   py : int;
-  globals : (string, float array) Hashtbl.t;
-  scalars : (string, int ref) Hashtbl.t;
-  ptrs : (string, string ref) Hashtbl.t;
+  globals : float array array;  (** buffers, by global slot *)
+  scalars : int array;  (** by scalar slot (see {!scalar_slot}) *)
+  ptrs : int array;  (** pointer slot -> the global slot it targets *)
   mutable clock : float;  (** local cycle count *)
   mutable finished : bool;
-  mutable task_queue : (float * string) list;
+  mutable task_queue : (float * fn) list;  (** activation time, task *)
   mutable waiting : waiting option;
-  mutable seq : (int, int) Hashtbl.t;
+  seq : int array;  (** communicate count per exchange id *)
+  mutable pending : comm list;
+      (** communicate calls issued by the running activation *)
   stats : pe_stats;
 }
 
+(** A staged [csl.func] or [csl.task] (see {!find_fn}). *)
+and fn
+
 and waiting
+
+(** The staged program: every function and task body compiled once
+    into closures over slot indices (see {!create}). *)
+type code
 
 type t = {
   machine : Machine.t;
   program : Wsc_ir.Ir.op;
+  code : code;  (** the staged program, shared by every PE and strip *)
   width : int;
   height : int;
   pes : pe array array;
-  funcs : (string, Wsc_ir.Ir.op) Hashtbl.t;
-  tasks : (string, Wsc_ir.Ir.op) Hashtbl.t;
   sends : (int * int * int * int, send_record) Hashtbl.t;
       (** (apply, seq, x, y) -> snapshot, held until every receiver in
           columns [x_lo..x_hi] has consumed it *)
@@ -139,16 +131,21 @@ and send_record
     wafers are measured via proxy-grid extrapolation. *)
 val max_simulated_pes : int
 
-(** Instantiate the PE grid for a program module.  [trace] (default
-    {!Wsc_trace.Trace.null}) receives per-PE spans (compute, send,
-    parked-on-exchange, drain), scheduler wake/park instants and
-    per-link transfer flows as the simulation runs.  [faults] (default
-    {!Wsc_faults.Faults.null}) injects the configured fault schedule
-    into task dispatch and link delivery, and — when its config enables
-    resilience — drives the detection & recovery protocol of the
-    simulated comms layer.
+(** Instantiate the PE grid for a program module, staging every
+    [csl.func]/[csl.task] body once into closures shared by all PEs.
+    [trace] (default {!Wsc_trace.Trace.null}) receives per-PE spans
+    (compute, send, parked-on-exchange, drain), scheduler wake/park
+    instants and per-link transfer flows as the simulation runs.
+    [faults] (default {!Wsc_faults.Faults.null}) injects the configured
+    fault schedule into task dispatch and link delivery, and — when its
+    config enables resilience — drives the detection & recovery
+    protocol of the simulated comms layer.
     @raise Sim_error when the grid exceeds the fabric, is too large to
-    simulate in-process, or the program's per-PE memory exceeds 48 kB. *)
+    simulate in-process, or the program's per-PE memory exceeds 48 kB;
+    and, naming the op and its enclosing function or task, on an
+    unsupported op, an unknown global, scalar, pointer, callee or task,
+    a malformed [communicate] config (including a send pointer that is
+    not a [ptr_state<N>] state pointer), or a missing [run] entry. *)
 val create :
   ?trace:Wsc_trace.Trace.sink ->
   ?faults:Wsc_faults.Faults.t ->
@@ -158,8 +155,17 @@ val create :
 
 val in_grid : t -> int -> int -> bool
 
-(** The buffer a pointer global of a PE currently targets. *)
-val deref : pe -> string -> float array
+(** The buffer a pointer global of a PE currently targets.
+    @raise Sim_error for an unknown pointer. *)
+val deref : t -> pe -> string -> float array
+
+(** The slot of a scalar global in every PE's [scalars].
+    @raise Sim_error for an unknown scalar. *)
+val scalar_slot : t -> string -> int
+
+(** A staged function or task by name, e.g. to queue it on a PE.
+    @raise Sim_error for an unknown name. *)
+val find_fn : t -> string -> fn
 
 (** Run one queued task of a PE — the entry with the earliest activation
     timestamp, as the hardware scheduler would dispatch it.  Returns

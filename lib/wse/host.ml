@@ -56,7 +56,7 @@ let load ?(trace = Trace.null) ?(faults = Wsc_faults.Faults.null)
           let col = column_of_grid g x y in
           if Array.length col <> zfull then
             fail "column length %d does not match zfull %d" (Array.length col) zfull;
-          let buf = Fabric.deref pe (Printf.sprintf "ptr_state%d" j) in
+          let buf = Fabric.deref sim pe (Printf.sprintf "ptr_state%d" j) in
           Array.blit col 0 buf 0 zfull)
         init_grids
     done
@@ -96,7 +96,7 @@ let read_state (h : t) (j : int) : I.grid =
   for x = 0 to h.sim.Fabric.width - 1 do
     for y = 0 to h.sim.Fabric.height - 1 do
       let pe = h.sim.Fabric.pes.(x).(y) in
-      let buf = Fabric.deref pe ptr in
+      let buf = Fabric.deref h.sim pe ptr in
       I.grid_set out [ x; y ] (I.Rtensor (Array.copy buf))
     done
   done;

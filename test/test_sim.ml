@@ -315,7 +315,8 @@ let test_deadlock_diagnostic () =
       (* silence PE(1,0): convince its iteration counter it has already
          run every timestep, so it unblocks immediately and never sends;
          its neighbours then starve waiting on the first exchange *)
-      Hashtbl.find h.Host.sim.Fabric.pes.(1).(0).Fabric.scalars "iteration" := 1000;
+      let sim = h.Host.sim in
+      sim.Fabric.pes.(1).(0).Fabric.scalars.(Fabric.scalar_slot sim "iteration") <- 1000;
       match Fabric.run_to_completion ~driver h.Host.sim with
       | () -> Alcotest.fail "expected a deadlock"
       | exception Fabric.Sim_error msg ->
@@ -449,6 +450,8 @@ let test_task_order_earliest_first () =
   in
   mark_task "early" 1 7;
   mark_task "late" 2 8;
+  (* the host's entry point, which the fabric requires at load *)
+  Bld.insert0 b (Csl.func ~name:"run" (fun fb _ -> Bld.insert0 fb (Csl.return_ ())));
   let program = Csl.module_ ~kind:Csl.Program ~name:"task_order" (Bld.ops b) in
   List.iter
     (fun (k, v) -> set_attr program k (Int_attr v))
@@ -458,10 +461,11 @@ let test_task_order_earliest_first () =
     ];
   let sim = Fabric.create Machine.wse3 program in
   let pe = sim.Fabric.pes.(0).(0) in
-  let mark () = !(Hashtbl.find pe.Fabric.scalars "mark") in
+  let mark () = pe.Fabric.scalars.(Fabric.scalar_slot sim "mark") in
   (* two activations queued out of insertion order: "late" was inserted
      first but activates at t=100, "early" second but activates at t=50 *)
-  pe.Fabric.task_queue <- [ (100.0, "late"); (50.0, "early") ];
+  pe.Fabric.task_queue <-
+    [ (100.0, Fabric.find_fn sim "late"); (50.0, Fabric.find_fn sim "early") ];
   check "first pop ran" true (Fabric.run_tasks sim pe);
   check "earliest activation dispatched first" true (mark () = 7);
   check "clock did not jump to the later activation" true (pe.Fabric.clock < 100.0);
@@ -469,6 +473,146 @@ let test_task_order_earliest_first () =
   check "later activation dispatched second" true (mark () = 8);
   check "queue drained" true (pe.Fabric.task_queue = []);
   check "empty queue pops nothing" true (not (Fabric.run_tasks sim pe))
+
+(* ------------------------------------------------------------------ *)
+(* load-time errors: a program the fabric cannot run is refused when it *)
+(* is staged, before any PE executes                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* compiled jacobian with the first [opname] op of a function or task
+   mutated by [f]; returns the program and where the op sits, as the
+   error message names it ("csl.call in function loop_cond") *)
+let mutated opname (f : Wsc_ir.Ir.op -> unit) =
+  let open Wsc_ir.Ir in
+  let p = (B.find "jacobian").make B.Tiny in
+  let _, program = Core.Pipeline.modules_of (Core.Pipeline.compile (P.compile p)) in
+  let owner =
+    List.find
+      (fun o ->
+        (o.opname = "csl.func" || o.opname = "csl.task")
+        && find_ops_by_name opname o <> [])
+      (Core.Csl.module_body program)
+  in
+  let o = List.hd (find_ops_by_name opname owner) in
+  f o;
+  let kind = if owner.opname = "csl.task" then "task" else "function" in
+  (program, Printf.sprintf "%s in %s %s" o.opname kind (string_attr_exn owner "sym_name"))
+
+let refused_at_load (program, where) detail =
+  match Fabric.create Machine.wse3 program with
+  | _ -> Alcotest.failf "%s: loaded, expected %S" where detail
+  | exception Fabric.Sim_error msg ->
+      if not (contains msg where && contains msg detail) then
+        Alcotest.failf "error %S does not name %S and %S" msg where detail
+
+let set_name key name o = Wsc_ir.Ir.set_attr o key (Wsc_ir.Ir.String_attr name)
+
+(* rewrite the first input of a communicate config *)
+let with_input f (o : Wsc_ir.Ir.op) =
+  let open Wsc_ir.Ir in
+  match attr_exn o "config" with
+  | Dict_attr d ->
+      let inputs =
+        match List.assoc "inputs" d with
+        | Array_attr (Dict_attr i :: rest) -> Array_attr (Dict_attr (f i) :: rest)
+        | a -> a
+      in
+      set_attr o "config" (Dict_attr (("inputs", inputs) :: List.remove_assoc "inputs" d))
+  | _ -> assert false
+
+let test_load_unsupported_op () =
+  refused_at_load
+    (mutated "csl.fmovs" (fun o -> o.Wsc_ir.Ir.opname <- "csl.frobnicate"))
+    "unsupported op"
+
+let test_load_unknown_global () =
+  refused_at_load (mutated "csl.get_global" (set_name "gname" "nope")) "no global buffer nope"
+
+let test_load_unknown_scalar () =
+  refused_at_load (mutated "csl.load_scalar" (set_name "gname" "nope")) "no scalar nope"
+
+let test_load_unknown_pointer () =
+  refused_at_load (mutated "csl.deref_ptr" (set_name "gname" "nope")) "no pointer nope"
+
+let test_load_unknown_callee () =
+  refused_at_load (mutated "csl.call" (set_name "callee" "nope")) "no function or task nope"
+
+let test_load_unknown_task () =
+  refused_at_load (mutated "csl.activate" (set_name "task" "nope")) "no function or task nope"
+
+let test_load_malformed_config () =
+  refused_at_load
+    (mutated "csl.member_call" (with_input (fun i -> List.remove_assoc "rcv_bufs" i)))
+    "config has no rcv_bufs";
+  refused_at_load
+    (mutated "csl.member_call" (fun o ->
+         Wsc_ir.Ir.set_attr o "config" (Wsc_ir.Ir.Int_attr 0)))
+    "config is not a dictionary"
+
+(* the Dirichlet boundary of an exchanged input is its state grid's
+   initial value, so a send pointer must name a state slot: another
+   pointer used to read slot 0's boundary silently *)
+let test_load_non_state_send_ptr () =
+  refused_at_load
+    (mutated "csl.member_call"
+       (with_input (fun i ->
+            ("send_ptr", Wsc_ir.Ir.String_attr "ptr_out0") :: List.remove_assoc "send_ptr" i)))
+    "send_ptr ptr_out0 is not a state pointer"
+
+(* ------------------------------------------------------------------ *)
+(* executor bit-identity: digests pinned before the executor was staged *)
+(* ------------------------------------------------------------------ *)
+
+(* the programs the digests cover: the five benchmarks at proxy 8x8 for
+   3 steps, jacobian at 2 and 4 chunks, seismic at 3 chunks, and fuzz
+   campaign 12345 cases 0-63 *)
+let executor_cases () : (Core.Pipeline.options * P.t) list =
+  let base = Core.Pipeline.default_options in
+  let proxy id = (B.find id).make_n (B.Proxy (8, 8)) 3 in
+  let chunks n = { base with num_chunks_override = Some n } in
+  List.map (fun (d : B.descr) -> (base, d.make_n (B.Proxy (8, 8)) 3)) B.all
+  @ [ (chunks 2, proxy "jacobian"); (chunks 4, proxy "jacobian"); (chunks 3, proxy "seismic") ]
+  @ List.init 64 (fun index -> (base, Wsc_harden.Fuzz.generate ~seed:12345 ~index))
+
+(* two digests per driver: [bits] covers every read-back float, the
+   elapsed cycles and every aggregated pe_stats field, and must agree
+   across drivers; [sched] covers the scheduler counters, which are
+   deterministic only under the sequential drivers *)
+let executor_digests driver : string * string =
+  let bits = Buffer.create (1 lsl 20) and sched = Buffer.create 4096 in
+  let f buf x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let i buf n = Buffer.add_int64_le buf (Int64.of_int n) in
+  List.iter
+    (fun (options, p) ->
+      let compiled = Core.Pipeline.compile ~options (P.compile p) in
+      let h = Host.simulate ~driver Machine.wse3 compiled (init_grids p) in
+      List.iter (fun (g : I.grid) -> Array.iter (f bits) g.I.gdata) (Host.read_all h);
+      f bits (Fabric.elapsed_cycles h.Host.sim);
+      let s = Fabric.total_stats h.Host.sim in
+      List.iter (f bits) [ s.compute_cycles; s.send_cycles; s.wait_cycles; s.flops; s.mem_bytes ];
+      List.iter (i bits) [ s.task_activations; s.elems_sent; s.elems_drained ];
+      let k = Fabric.sched_stats h.Host.sim in
+      List.iter (i sched)
+        Fabric.Sched.[ k.scans; k.probes; k.wakeups; k.parks; k.max_queue_depth; k.max_live_sends ])
+    (executor_cases ());
+  let hex b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (hex bits, hex sched)
+
+let test_executor_bit_identity () =
+  let expected_bits = "07bd7c6a2d98c75d6983b89f94c5b904" in
+  List.iter
+    (fun (driver, expected_sched) ->
+      let bits, sched = executor_digests driver in
+      let label = driver_label driver in
+      Alcotest.(check string) (label ^ ": fields, cycles, stats") expected_bits bits;
+      Option.iter
+        (fun e -> Alcotest.(check string) (label ^ ": scheduler counters") e sched)
+        expected_sched)
+    [
+      (Fabric.Polling, Some "fe5b2753e5b07412a0baa19424e05cb0");
+      (Fabric.Event_driven, Some "394a088f7a08d8d05be0fa1736d371be");
+      (Fabric.Parallel 2, None);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* retained state                                                      *)
@@ -586,8 +730,21 @@ let () =
              test_worker_pool_spawns_once
         :: Alcotest.test_case "earliest activation first" `Quick
              test_task_order_earliest_first
+        :: Alcotest.test_case "executor bit-identity" `Quick test_executor_bit_identity
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_drivers_agree_on_fuzzed; prop_budget_trips_identically ] );
+      ( "load-time",
+        [
+          Alcotest.test_case "unsupported op" `Quick test_load_unsupported_op;
+          Alcotest.test_case "unknown global" `Quick test_load_unknown_global;
+          Alcotest.test_case "unknown scalar" `Quick test_load_unknown_scalar;
+          Alcotest.test_case "unknown pointer" `Quick test_load_unknown_pointer;
+          Alcotest.test_case "unknown callee" `Quick test_load_unknown_callee;
+          Alcotest.test_case "unknown task" `Quick test_load_unknown_task;
+          Alcotest.test_case "malformed communicate config" `Quick
+            test_load_malformed_config;
+          Alcotest.test_case "non-state send pointer" `Quick test_load_non_state_send_ptr;
+        ] );
       ( "retention",
         [
           Alcotest.test_case "bounded heap" `Quick test_bounded_heap;
