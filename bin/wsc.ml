@@ -222,7 +222,8 @@ let time_arg =
           "Also report the simulator's own wall-clock time (seconds), split \
            into load (grid setup and program staging), run and readback, \
            with the driver and the domain count — the host-side cost of the \
-           run, as opposed to the simulated cycles.")
+           run, as opposed to the simulated cycles — and the time the \
+           sequential reference check takes (ref).")
 
 let sim_json_arg =
   Arg.(
@@ -231,8 +232,8 @@ let sim_json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:
           "Write a machine-readable run summary (simulated cycles, wall_s \
-           and its load_s/run_s/read_s split, driver, domains, reference \
-           divergence).")
+           and its load_s/run_s/read_s split, the reference's ref_s, \
+           driver, domains, reference divergence).")
 
 let simulate_cmd =
   let run bench input size iterations machine stats driver_kind domains time
@@ -257,7 +258,7 @@ let simulate_cmd =
         let (), run_s = timed (fun () -> Wsc_wse.Host.run ~driver h) in
         let out, read_s = timed (fun () -> Wsc_wse.Host.read_all h) in
         let wall_s = load_s +. run_s +. read_s in
-        let ref_grids = P.run_reference p in
+        let ref_grids, ref_s = timed (fun () -> P.run_reference p) in
         let maxd =
           List.fold_left Float.max 0.0 (List.map2 I.max_abs_diff ref_grids out)
         in
@@ -271,10 +272,11 @@ let simulate_cmd =
         if time then
           Printf.printf
             "  wall %.3f s = load %.3f + run %.3f + read %.3f  (driver=%s \
-             domains=%d requested=%d)\n"
+             domains=%d requested=%d)\n\
+            \  ref %.3f s  (sequential reference)\n"
             wall_s load_s run_s read_s (F.driver_name driver)
             (F.effective_domains driver ~width:h.sim.width)
-            (F.driver_domains driver);
+            (F.driver_domains driver) ref_s;
         if stats then begin
           let k = F.sched_stats h.sim in
           Printf.printf
@@ -311,6 +313,7 @@ let simulate_cmd =
                          ("load_s", J.Float load_s);
                          ("run_s", J.Float run_s);
                          ("read_s", J.Float read_s);
+                         ("ref_s", J.Float ref_s);
                          ("driver", J.String (F.driver_name driver));
                          (* effective worker count after clamping, not
                             the request: --domains 0 expands to the

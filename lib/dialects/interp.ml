@@ -132,15 +132,20 @@ let elementwise2 (f : float -> float -> float) (a : rtvalue) (b : rtvalue) : rtv
 
     An apply body is straight-line code evaluated at every point of the
     compute bounds.  Each time an apply executes, its body is compiled
-    once into an array of closures over a preallocated register file: one
-    [float array] slot per scalar value, one buffer per tensor value
-    (rewritten in place at every point), index values resolved to
-    constants, and values defined outside the body read from the
-    environment once.  An access becomes its input's base index for the
-    current point plus a stride delta fixed at staging time, so the point
-    loop does no lookups and allocates nothing.  Every float operation is
-    the one the value semantics prescribe, in the same order, so results
-    are bit-identical to evaluating the body point by point. *)
+    once into an array of closures, each of which runs one op over a
+    whole {e row} of points in a single [for] loop.  The row is the
+    innermost compute dimension when the body holds only scalars (the
+    3-D reference, z = 450–900 at paper sizes); otherwise (tensor
+    elements after tensorization) it is one point, and a tensor value's
+    own elements make the loop.  A float value is a strided view of a
+    row ({!view}): a stride-0 broadcast for constants, values from
+    outside the body and per-point scalars; a buffer allocated at staging
+    for an op's result; for [stencil.access], the input grid itself at the
+    row base plus an offset fixed at staging.  The point loop walks only
+    the outer dimensions and keeps one row base per grid, so it does no
+    lookups and allocates nothing.  Each element sees the float operations
+    the value semantics prescribe, in the same order, so results are
+    bit-identical to evaluating the body point by point. *)
 
 type binop = Add | Sub | Mul | Div
 
@@ -148,10 +153,16 @@ type binop = Add | Sub | Mul | Div
     element strides (a tensor element type folds into the last one). *)
 type sgrid = { grid : grid; gix : int; lbs : int array; strides : int array }
 
-(** Where an SSA value of the body lives while the points run. *)
+(** A float value of the body: element [i] of the current row is
+    [arr.(base.(k) + off + (i * stride))], where [base.(k)] is grid [k]'s
+    row base (a [k] past every grid reads a constant 0) and [stride] is 1,
+    or 0 for a broadcast.  [len] is the value's type: [-1] a scalar, else
+    a tensor of [len] elements. *)
+type view = { arr : float array; k : int; off : int; stride : int; len : int }
+
+(** Where an SSA value of the body lives while the rows run. *)
 type slot =
-  | Sfloat of int  (** register in the scalar file *)
-  | Stensor of float array  (** the value's own buffer *)
+  | Sview of view
   | Sint of int  (** index values are constants of the staging *)
   | Sgrid of grid
 
@@ -204,25 +215,50 @@ let store_grid (src : grid) (dst : grid) : unit =
     if n = 0 then Array.blit src.gdata 0 dst.gdata 0 z else go 0 0 0
   end
 
-let scalar_binop op (r : float array) d x y : unit -> unit =
+(** [dst.(i) <- a_i op b_i] for the [n] elements of a row.  Each
+    operand's offset, and a broadcast operand's value, is read once per
+    row, so the loop body is one float operation. *)
+let row_binop op n (base : int array) (dst : float array) a b : unit -> unit =
+  let { arr = x; k = ka; off = oa; _ } = a and { arr = y; k = kb; off = ob; _ } = b in
+  let bx = n > 1 && a.stride = 0 and by = n > 1 && b.stride = 0 in
   match op with
-  | Add -> fun () -> r.(d) <- r.(x) +. r.(y)
-  | Sub -> fun () -> r.(d) <- r.(x) -. r.(y)
-  | Mul -> fun () -> r.(d) <- r.(x) *. r.(y)
-  | Div -> fun () -> r.(d) <- r.(x) /. r.(y)
+  | Add when bx -> fun () -> let c = x.(base.(ka) + oa) and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- c +. y.(ob + i) done
+  | Add when by -> fun () -> let oa = base.(ka) + oa and c = y.(base.(kb) + ob) in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) +. c done
+  | Add -> fun () -> let oa = base.(ka) + oa and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) +. y.(ob + i) done
+  | Sub when bx -> fun () -> let c = x.(base.(ka) + oa) and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- c -. y.(ob + i) done
+  | Sub when by -> fun () -> let oa = base.(ka) + oa and c = y.(base.(kb) + ob) in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) -. c done
+  | Sub -> fun () -> let oa = base.(ka) + oa and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) -. y.(ob + i) done
+  | Mul when bx -> fun () -> let c = x.(base.(ka) + oa) and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- c *. y.(ob + i) done
+  | Mul when by -> fun () -> let oa = base.(ka) + oa and c = y.(base.(kb) + ob) in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) *. c done
+  | Mul -> fun () -> let oa = base.(ka) + oa and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) *. y.(ob + i) done
+  | Div when bx -> fun () -> let c = x.(base.(ka) + oa) and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- c /. y.(ob + i) done
+  | Div when by -> fun () -> let oa = base.(ka) + oa and c = y.(base.(kb) + ob) in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) /. c done
+  | Div -> fun () -> let oa = base.(ka) + oa and ob = base.(kb) + ob in
+      for i = 0 to n - 1 do dst.(i) <- x.(oa + i) /. y.(ob + i) done
 
-(** [dst.(i) <- a.(oa + i * sa) op b.(ob + i * sb)]: a scalar operand is
-    its register read with stride 0 — the broadcast of [elementwise2]. *)
-let vector_binop op n (dst : float array) (a, oa, sa) (b, ob, sb) : unit -> unit =
-  match op with
-  | Add -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) +. b.(ob + (i * sb)) done
-  | Sub -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) -. b.(ob + (i * sb)) done
-  | Mul -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) *. b.(ob + (i * sb)) done
-  | Div -> fun () -> for i = 0 to n - 1 do dst.(i) <- a.(oa + (i * sa)) /. b.(ob + (i * sb)) done
+(** Write the [n] elements of [src]'s row to [dst] from offset
+    [base.(k) + off]: one blit, or one fill for a broadcast. *)
+let row_copy n (base : int array) src (dst, k, off) : unit -> unit =
+  let { arr = s; k = ks; off = os; stride; _ } = src in
+  if stride = 1 then fun () -> Array.blit s (base.(ks) + os) dst (base.(k) + off) n
+  else fun () -> Array.fill dst (base.(k) + off) n s.(base.(ks) + os)
 
 (** Execute one [stencil.apply] with Dirichlet semantics: each output
     grid starts as a copy of the first input grid when shapes agree, then
-    the compute region is overwritten. *)
+    the compute region is overwritten.  Outputs are always fresh grids
+    and never alias an input, so the rows may read the inputs in place
+    while the outputs are written. *)
 let run_apply (env : env) (o : op) : rtvalue list =
   let body = Stencil.apply_body o in
   if List.length body.bargs <> List.length o.operands then
@@ -244,18 +280,30 @@ let run_apply (env : env) (o : op) : rtvalue list =
   let cb = Stencil.compute_bounds o in
   (* no point runs in an empty region, so no access can fail *)
   let live = List.for_all (fun (lb, ub) -> lb < ub) cb in
-  (* every register and grid comes from a block arg, an op operand or
-     result, or an output: this bounds both tables *)
+  let rank = List.length cb in
+  (* the row is the innermost compute dimension when the grids and every
+     value of the body are scalars, else a single point *)
+  let scalar t = match elt_of t with Tensor _ -> false | _ -> true in
+  let over_rows =
+    rank > 0
+    && List.for_all (fun g -> tensor_extent g.gelt = 1) out_grids
+    && List.for_all
+         (function Rgrid g -> tensor_extent g.gelt = 1 | Rtensor _ -> false | _ -> true)
+         inputs
+    && List.for_all
+         (fun op -> List.for_all (fun v -> scalar v.vtyp) (op.operands @ op.results))
+         body.bops
+  in
+  let outer = if over_rows then rank - 1 else rank in
+  let row_lo, row_hi = if over_rows then List.nth cb outer else (0, 1) in
+  let width = max 0 (row_hi - row_lo) in
+  (* every grid comes from a block arg, an op operand or an output: this
+     bounds the grid count; index [cap] is the constant-0 base *)
   let cap =
     List.fold_left
-      (fun n op -> n + List.length op.operands + List.length op.results)
+      (fun n op -> n + List.length op.operands)
       (List.length body.bargs + List.length o.results)
       body.bops
-  in
-  let regs = Array.make cap 0.0 and nregs = ref 0 in
-  let reg () =
-    incr nregs;
-    !nregs - 1
   in
   let grids = ref [] in
   let index g =
@@ -267,18 +315,19 @@ let run_apply (env : env) (o : op) : rtvalue list =
         grids := sg :: !grids;
         sg
   in
-  let rank = List.length cb in
-  (* [lvl.(d)]: flat offset of the current point's first [d] coordinates
-     in each grid; the closures read the full offset, [lvl.(rank)] *)
-  let lvl = Array.init (rank + 1) (fun _ -> Array.make cap 0) in
-  let base = lvl.(rank) in
+  (* offset of the row's first point within a grid's outer row base *)
+  let row_start sg =
+    if over_rows && live then (row_lo - sg.lbs.(outer)) * sg.strides.(outer) else 0
+  in
+  (* [lvl.(d)]: flat offset of the current row's first [d] coordinates
+     in each grid; the closures read the full row base, [lvl.(outer)] *)
+  let lvl = Array.init (outer + 1) (fun _ -> Array.make (cap + 1) 0) in
+  let base = lvl.(outer) in
+  let own ?(len = -1) arr = { arr; k = cap; off = 0; stride = 1; len } in
   let of_rt = function
-    | Rfloat f ->
-        let r = reg () in
-        regs.(r) <- f;
-        Sfloat r
+    | Rfloat f -> Sview { (own [| f |]) with stride = 0 }
     | Rint i -> Sint i
-    | Rtensor a -> Stensor a
+    | Rtensor a -> Sview (own ~len:(Array.length a) a)
     | Rgrid g -> Sgrid g
   in
   let slots : (int, slot) Hashtbl.t = Hashtbl.create 64 in
@@ -293,36 +342,28 @@ let run_apply (env : env) (o : op) : rtvalue list =
   in
   let prog = ref [] in
   let emit f = prog := f :: !prog in
-  (* a float value as (array, offset, stride, length); -1: scalar *)
-  let view = function
-    | Sfloat r -> (regs, r, 0, -1)
-    | Stensor a -> (a, 0, 1, Array.length a)
-    | _ -> fail "elementwise: bad operands"
-  in
+  let view = function Sview v -> v | _ -> fail "elementwise: bad operands" in
   let binop op a b =
-    match (a, b) with
-    | Sfloat x, Sfloat y ->
-        let d = reg () in
-        emit (scalar_binop op regs d x y);
-        Sfloat d
-    | _ ->
-        let a, oa, sa, na = view a and b, ob, sb, nb = view b in
-        if na >= 0 && nb >= 0 && na <> nb then fail "elementwise: tensor sizes %d vs %d" na nb;
-        let dst = Array.make (max na nb) 0.0 in
-        emit (vector_binop op (Array.length dst) dst (a, oa, sa) (b, ob, sb));
-        Stensor dst
+    let a = view a and b = view b in
+    if a.len >= 0 && b.len >= 0 && a.len <> b.len then
+      fail "elementwise: tensor sizes %d vs %d" a.len b.len;
+    let len = max a.len b.len in
+    (* a scalar result is a broadcast when both operands are *)
+    let n = if len >= 0 then len else if a.stride = 0 && b.stride = 0 then 1 else width in
+    let dst = Array.make n 0.0 in
+    emit (row_binop op n base dst a b);
+    Sview { (own ~len dst) with stride = (if len < 0 && n = 1 then 0 else 1) }
   in
-  (* a tensor operand as (array, offset, length); a scalar is a 1-tensor *)
+  (* a tensor operand and its length; a scalar is a 1-tensor *)
   let tensor_view = function
-    | Sfloat r -> (regs, r, 1)
-    | Stensor a -> (a, 0, Array.length a)
+    | Sview v -> (v, if v.len < 0 then 1 else v.len)
     | _ -> fail "expected tensor"
   in
   let stage (op : op) : slot option =
     match op.opname with
     | "arith.constant" -> (
         match (attr op "value", (result op).vtyp) with
-        | Some (Float_attr f), Tensor ([ n ], _) -> Some (Stensor (Array.make n f))
+        | Some (Float_attr f), Tensor ([ n ], _) -> Some (Sview (own ~len:n (Array.make n f)))
         | Some (Float_attr f), _ -> Some (of_rt (Rfloat f))
         | Some (Int_attr i), (Index | I16 | I32 | I64) -> Some (Sint i)
         | Some (Int_attr i), _ -> Some (of_rt (Rfloat (float_of_int i)))
@@ -349,36 +390,29 @@ let run_apply (env : env) (o : op) : rtvalue list =
             fail "stencil.access: offset rank %d at point rank %d" (List.length off) rank;
           check_inside ~what:"stencil.access" cb off sg.grid.gbounds
         end;
-        let delta = ref 0 in
+        let delta = ref (row_start sg) in
         List.iteri
           (fun d x -> if d < Array.length sg.strides then delta := !delta + (x * sg.strides.(d)))
           off;
-        let data = sg.grid.gdata and k = sg.gix and delta = !delta in
+        (* the input grid itself: a row of scalars, a tensor element, or
+           a per-point scalar broadcast over a tensor body *)
         let z = tensor_extent sg.grid.gelt in
-        if z = 1 then begin
-          let r = reg () in
-          emit (fun () -> regs.(r) <- data.(base.(k) + delta));
-          Some (Sfloat r)
-        end
-        else begin
-          let buf = Array.make z 0.0 in
-          emit (fun () -> Array.blit data (base.(k) + delta) buf 0 z);
-          Some (Stensor buf)
-        end
+        let stride = if over_rows || z > 1 then 1 else 0 and len = if z = 1 then -1 else z in
+        Some (Sview { arr = sg.grid.gdata; k = sg.gix; off = !delta; stride; len })
     | "tensor.empty" ->
         let n = match (result op).vtyp with Tensor ([ n ], _) -> n | _ -> 0 in
-        Some (Stensor (Array.make n 0.0))
+        Some (Sview (own ~len:n (Array.make n 0.0)))
     | "tensor.extract_slice" ->
-        let src, so, n = tensor_view (slot (operand op 0)) in
+        let src, n = tensor_view (slot (operand op 0)) in
         let off = int_attr_exn op "offset" and size = int_attr_exn op "size" in
         if off < 0 || size < 0 || off + size > n then
           fail "tensor.extract_slice: [%d, %d) out of tensor<%d>" off (off + size) n;
-        let buf = Array.make size 0.0 in
-        emit (fun () -> Array.blit src (so + off) buf 0 size);
-        Some (Stensor buf)
+        (* a view of the source, which holds this point's value until
+           the next point *)
+        Some (Sview { src with off = src.off + (off * src.stride); len = size })
     | "tensor.insert_slice" ->
-        let src, so, ns = tensor_view (slot (operand op 0)) in
-        let dst, dso, nd = tensor_view (slot (operand op 1)) in
+        let src, ns = tensor_view (slot (operand op 0)) in
+        let dst, nd = tensor_view (slot (operand op 1)) in
         let off =
           match slot (operand op 2) with
           | Sint i -> i
@@ -387,10 +421,9 @@ let run_apply (env : env) (o : op) : rtvalue list =
         if off < 0 || off + ns > nd then
           fail "tensor.insert_slice: [%d, %d) out of tensor<%d>" off (off + ns) nd;
         let buf = Array.make nd 0.0 in
-        emit (fun () ->
-            Array.blit dst dso buf 0 nd;
-            Array.blit src so buf off ns);
-        Some (Stensor buf)
+        emit (row_copy nd base dst (buf, cap, 0));
+        emit (row_copy ns base src (buf, cap, off));
+        Some (Sview (own ~len:nd buf))
     | "stencil.return" ->
         if List.length op.operands <> List.length out_grids then
           fail "stencil.apply: body returns %d values for %d results"
@@ -400,12 +433,13 @@ let run_apply (env : env) (o : op) : rtvalue list =
             if live then
               check_inside ~what:"stencil.apply result" cb (List.map (fun _ -> 0) cb)
                 g.gbounds;
-            let data = g.gdata and k = (index g).gix and z = tensor_extent g.gelt in
+            let sg = index g and z = tensor_extent g.gelt in
             match slot v with
-            | Sfloat r when z = 1 -> emit (fun () -> data.(base.(k)) <- regs.(r))
-            | Stensor a when Array.length a = z -> emit (fun () -> Array.blit a 0 data base.(k) z)
-            | Sfloat _ -> fail "grid_set: scalar into tensor grid"
-            | Stensor a -> fail "grid_set: tensor size %d, grid elt %d" (Array.length a) z
+            | Sview s when (s.len < 0 && z = 1) || s.len = z ->
+                let dst = (g.gdata, sg.gix, row_start sg) in
+                emit (row_copy (if z = 1 then width else z) base s dst)
+            | Sview s when s.len < 0 -> fail "grid_set: scalar into tensor grid"
+            | Sview s -> fail "grid_set: tensor size %d, grid elt %d" s.len z
             | _ -> fail "grid_set: bad value")
           out_grids op.operands;
         None
@@ -424,7 +458,7 @@ let run_apply (env : env) (o : op) : rtvalue list =
   let grids = Array.of_list (List.rev !grids) in
   let ng = Array.length grids in
   let cb = Array.of_list cb in
-  let run_point () = Array.iter (fun f -> f ()) prog in
+  let run_row () = Array.iter (fun f -> f ()) prog in
   let rec go d =
     let lo, hi = cb.(d) and cur = lvl.(d) and next = lvl.(d + 1) in
     for i = lo to hi - 1 do
@@ -432,10 +466,10 @@ let run_apply (env : env) (o : op) : rtvalue list =
         let g = grids.(k) in
         next.(k) <- cur.(k) + ((i - g.lbs.(d)) * g.strides.(d))
       done;
-      if d + 1 = rank then run_point () else go (d + 1)
+      if d + 1 = outer then run_row () else go (d + 1)
     done
   in
-  if rank = 0 then run_point () else if live then go 0;
+  if live then if outer = 0 then run_row () else go 0;
   List.map (fun g -> Rgrid g) out_grids
 
 (** {1 Interpreter} *)

@@ -4,10 +4,13 @@
     A module's fingerprint is the digest of its canonical textual form:
     the {!Printer} output.  Because print→parse→print is a fixpoint
     (enforced continuously by the hardening oracle and the property
-    tests), every textual variation of the same module — comments,
-    whitespace, value-name hints — collapses to one canonical string
-    after a parse, so two sources that parse to the same module always
-    fingerprint identically, across processes and OCaml versions. *)
+    tests), comments, whitespace and the numbering of value names
+    collapse to one canonical string after a parse: [%7] and [%0], or
+    [%u_3] and [%u_12], key alike.  Alphabetic value-name hints are part
+    of the module and do reach the key — the printer writes them as
+    [%<hint>_<n>] — so [%u] and [%v] key differently.  Two sources that
+    parse to the same module, hints included, always fingerprint
+    identically, across processes and OCaml versions. *)
 
 (** Hex digest (MD5, 32 lowercase hex chars) of a byte string.  Stable
     across runs and platforms — unlike [Hashtbl.hash], which is neither

@@ -325,6 +325,52 @@ let test_reference_bits_fuzz () =
         add (P.run_reference (Wsc_harden.Fuzz.generate ~seed:12345 ~index))
       done)
 
+(* recorded from the per-point staging that row staging replaced:
+   non-square, so each run has several rows and a row length other
+   than x *)
+let test_reference_bits_proxy () =
+  check_digest "run_reference, five benchmarks, 7x3, 3 steps" "1ae398b86daa3eebae1719816024da53" (fun add ->
+      List.iter
+        (fun (d : Bench.descr) -> add (P.run_reference (d.Bench.make_n (Bench.Proxy (7, 3)) 3)))
+        Bench.all)
+
+(* a scalar apply of any rank over [cb] of a grid with a halo of 1 in
+   every dimension: every float op the staging knows, a constant made
+   outside the body, and accesses along the row and across it *)
+let low_rank_bits cb add =
+  let bounds = List.map (fun (lb, ub) -> (lb - 1, ub + 1)) cb in
+  let ft = Field (bounds, F32) and gt = Temp (bounds, F32) in
+  let at d x = List.mapi (fun i _ -> if i = d then x else 0) cb in
+  let last = List.length cb - 1 in
+  let f =
+    Func.func ~name:"main" ~args:[ ft ] ~results:[] (fun b args ->
+        let k = B.insert b (Arith.constant_f 0.375) in
+        let t = B.insert b (Stencil.load (List.hd args)) in
+        let ap =
+          Stencil.apply ~compute_bounds:cb ~inputs:[ t ] ~result_type:gt (fun bb bargs ->
+              let u = List.hd bargs in
+              let acc off = B.insert bb (Stencil.access u ~offset:off) in
+              let c = acc (at 0 0) and e = acc (at last 1) and w = acc (at last (-1)) in
+              let n = acc (at 0 1) in
+              let s = B.insert bb (Varith.add [ e; w; n ]) in
+              let p = B.insert bb (Varith.mul [ s; k; c ]) in
+              let three = B.insert bb (Arith.constant_f 3.0) in
+              let q = B.insert bb (Arith.divf p three) in
+              let r = B.insert bb (Arith.subf q (B.insert bb (Arith.mulf c k))) in
+              B.insert0 bb (Stencil.return_ [ B.insert bb (Arith.addf r e) ]))
+        in
+        B.insert0 b (Stencil.store (B.insert b ap) (List.hd args));
+        B.insert0 b (Func.return_ []))
+  in
+  let g = I.grid_of_typ ft in
+  I.init_grid g;
+  ignore (I.run_func (Builtin.module_op [ f ]) ~name:"main" [ I.Rgrid g ]);
+  add [ g ]
+
+let test_low_rank_bits () =
+  check_digest "rank-2 scalar apply" "b712617733ab2a377ae7407c42a247ee" (low_rank_bits [ (0, 5); (-2, 7) ]);
+  check_digest "rank-1 scalar apply" "744c96bf94a4919661cd9b95b610dd15" (low_rank_bits [ (1, 12) ])
+
 (* the tensorized module after [passes], on the reference's initial data *)
 let tensorized_bits passes add =
   List.iter
@@ -423,6 +469,8 @@ let () =
           Alcotest.test_case "reference, benchmarks" `Quick test_reference_bits_benchmarks;
           Alcotest.test_case "reference, fuzz" `Quick test_reference_bits_fuzz;
           Alcotest.test_case "tensorized, groups 1-2" `Quick test_tensorized_bits;
+          Alcotest.test_case "reference, 7x3 benchmarks" `Quick test_reference_bits_proxy;
+          Alcotest.test_case "rank-1 and rank-2 applies" `Quick test_low_rank_bits;
         ] );
       ( "dmp",
         [

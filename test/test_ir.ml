@@ -224,6 +224,26 @@ let test_parse_count_mismatch_named () =
       | _ -> Alcotest.failf "expected parse error for %S" s)
     cases
 
+(* the fingerprint's canonical text renumbers value names but keeps
+   alphabetic hints: digit-only renamings and a hint's numeric suffix
+   collapse to one key, a different hint is a different key *)
+let test_fingerprint_hints () =
+  let key names =
+    let a, b = names in
+    fst
+      (Wsc_ir.Fingerprint.source ~extra:""
+         (Printf.sprintf
+            "\"builtin.module\"() ({\n\
+             %%%s = \"test.c\"() : () -> (f32)\n%%%s = \"test.c\"() : () -> (f32)\n\
+             \"test.use\"(%%%s, %%%s) : (f32, f32) -> ()\n}) : () -> ()"
+            a b a b))
+  in
+  let check_key what expected x y = Alcotest.(check bool) what expected (key x = key y) in
+  check_key "digit renumbering collapses" true ("0", "1") ("7", "42");
+  check_key "a hint's numeric suffix collapses" true ("u_3", "v_9") ("u_12", "v_0");
+  check_key "alphabetic hints reach the key" false ("0", "1") ("u", "v");
+  check_key "different hints, different keys" false ("u", "v") ("p", "q")
+
 let test_parse_error_locations () =
   (* every failure carries a structured line/column location and the
      rendered message names both; out-of-range numeric literals must be
@@ -433,6 +453,7 @@ let () =
           Alcotest.test_case "error locations" `Quick test_parse_error_locations;
           Alcotest.test_case "count mismatch named" `Quick
             test_parse_count_mismatch_named;
+          Alcotest.test_case "fingerprint hints" `Quick test_fingerprint_hints;
         ] );
       ( "verifier",
         [
